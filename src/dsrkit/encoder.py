@@ -5,6 +5,17 @@ differences in the test suite, and 32-bit noise would drown that signal.
 The utterance summary is the final-frame top-layer hidden state, passed
 through an affine projection and L2-normalized.
 
+The recurrence is feature-major: the state is (H, B), and the trace keeps
+each layer's activated gates as (T, 4H, B) and its c_prev, tanh(c) and h
+as (T, H, B), so every gate of every step is one contiguous (H, B) block.
+Each layer projects all T input frames with one matmul before its time
+loop, which then adds only W_h h. One tanh activates the whole gate block:
+the i, f and o rows are pre-scaled by 1/2 and mapped through
+sigmoid(a) = 0.5 * (1 + tanh(a / 2)). The backward pass writes every step's
+pre-activation gradients into one (T, 4H, B) buffer and forms the weight
+gradients, and the input gradients of the layer below, after the loop.
+This is the RNN restructuring of Appleyard et al. 2016 (arXiv:1604.01946).
+
 Checkpoint layout (version 1, all little-endian):
   magic "DSRK" | version int32 | n_layers, hidden_dim, embed_dim,
   input_dim, seed as int32 | then per tensor, in the fixed order
@@ -29,6 +40,7 @@ from .errors import (
 
 CHECKPOINT_MAGIC = b"DSRK"
 CHECKPOINT_VERSION = 1
+_HEADER_BYTES = 28  # magic, version, five int32 dims
 
 
 @dataclass(frozen=True)
@@ -106,25 +118,32 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return EncoderParams(config, tensors)
 
 
-def _sigmoid(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+def _gate_affine(hidden_dim: int, batch: int):
+    """Row scale and offset that turn one tanh over a (4H, B) gate block
+    into sigmoid(a) = 0.5 * (1 + tanh(a / 2)) on the i, f and o rows and
+    tanh(a) on the g rows. Halving is exact in binary floating point
+    (above the subnormal range), so scaling the pre-activations by 0.5 up
+    front costs no precision."""
+    scale = np.full((4 * hidden_dim, batch), 0.5)
+    scale[2 * hidden_dim:3 * hidden_dim] = 1.0
+    return scale, 1.0 - scale
 
 
 @dataclass
 class BatchTrace:
-    """Forward-pass cache for one uniform-length batch, kept for backprop."""
+    """Forward-pass cache for one uniform-length batch, kept for backprop.
 
-    stack: np.ndarray          # (B, T, input_dim)
-    layer_inputs: list         # per layer: (B, T, d_in)
-    gates: list                # per layer: (B, T, 4H) activated i|f|g|o
-    c_prevs: list              # per layer: (B, T, H)
-    tanh_cs: list              # per layer: (B, T, H)
-    hs: list                   # per layer: (B, T, H)
+    Everything but the input stack and the outputs is feature-major: time
+    first, then features, then batch, so each gate of each step is one
+    contiguous (H, B) block.
+    """
+
+    stack: np.ndarray          # (B, T, input_dim), as passed in
+    layer_inputs: list         # per layer: (T, d_in, B); layer 0 is a view of stack
+    gates: list                # per layer: (T, 4H, B) activated, rows i|f|g|o
+    c_prevs: list              # per layer: (T, H, B) cell state entering step t
+    tanh_cs: list              # per layer: (T, H, B)
+    hs: list                   # per layer: (T, H, B)
     pre_norm: np.ndarray       # (B, E)
     norms: np.ndarray          # (B,)
     embeddings: np.ndarray     # (B, E), rows unit-norm
@@ -154,41 +173,39 @@ def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
         raise EmptyInputError("batch and frame count must both be nonzero")
     B, T, _ = stack.shape
     H = cfg.hidden_dim
-    x = stack
+    scale, offset = _gate_affine(H, B)
+    row_scale = scale[:, :1]
+    x = stack.transpose(1, 2, 0)
     layer_inputs, gates_all, c_prevs_all, tanh_cs_all, hs_all = [], [], [], [], []
     for layer in range(cfg.n_layers):
-        wx = params.tensors[f"lstm{layer}.w_x"]
-        wh = params.tensors[f"lstm{layer}.w_h"]
-        b = params.tensors[f"lstm{layer}.b"]
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        gates = np.empty((B, T, 4 * H))
-        c_prevs = np.empty((B, T, H))
-        tanh_cs = np.empty((B, T, H))
-        hs = np.empty((B, T, H))
+        wh = row_scale * params.tensors[f"lstm{layer}.w_h"]
+        # Input projection for every step at once; the loop adds only W_h h.
+        gates = np.matmul(row_scale * params.tensors[f"lstm{layer}.w_x"], x)
+        gates += scale * params.tensors[f"lstm{layer}.b"][:, None]
+        cs = np.empty((T + 1, H, B))  # cs[t] enters step t, cs[t + 1] leaves it
+        cs[0] = 0.0
+        tanh_cs = np.empty((T, H, B))
+        hs = np.empty((T, H, B))
+        ig = np.empty((H, B))
         for t in range(T):
-            a = x[:, t] @ wx.T + h @ wh.T + b
-            i = _sigmoid(a[:, :H])
-            f = _sigmoid(a[:, H:2 * H])
-            g = np.tanh(a[:, 2 * H:3 * H])
-            o = _sigmoid(a[:, 3 * H:])
-            c_prevs[:, t] = c
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates[:, t, :H] = i
-            gates[:, t, H:2 * H] = f
-            gates[:, t, 2 * H:3 * H] = g
-            gates[:, t, 3 * H:] = o
-            tanh_cs[:, t] = tc
-            hs[:, t] = h
+            a = gates[t]  # activated in place
+            if t:
+                a += wh @ hs[t - 1]
+            np.tanh(a, out=a)
+            a *= scale
+            a += offset
+            np.multiply(a[H:2 * H], cs[t], out=cs[t + 1])
+            np.multiply(a[:H], a[2 * H:3 * H], out=ig)
+            cs[t + 1] += ig
+            np.tanh(cs[t + 1], out=tanh_cs[t])
+            np.multiply(a[3 * H:], tanh_cs[t], out=hs[t])
         layer_inputs.append(x)
         gates_all.append(gates)
-        c_prevs_all.append(c_prevs)
+        c_prevs_all.append(cs[:T])
         tanh_cs_all.append(tanh_cs)
         hs_all.append(hs)
         x = hs
-    top = hs_all[-1][:, -1]
+    top = hs_all[-1][-1].T
     pre_norm = top @ params.tensors["proj.w"].T + params.tensors["proj.b"]
     norms = np.linalg.norm(pre_norm, axis=1)
     if np.any(norms < 1e-300):
@@ -213,51 +230,63 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
     # Through L2 normalization: radial component of the upstream grad dies.
     dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / trace.norms[:, None]
     grads = {}
-    top = trace.hs[-1][:, -1]
+    top = trace.hs[-1][-1].T
     grads["proj.w"] = dv.T @ top
     grads["proj.b"] = dv.sum(axis=0)
-    dh_seq = np.zeros((B, T, H))
-    dh_seq[:, -1] = dv @ params.tensors["proj.w"]
+    # Gate derivative (1 - x) * (x + shift): sigmoid' = s (1 - s) on the
+    # i, f, o rows, tanh' = (1 - g) (1 + g) on the g rows.
+    shift = np.zeros((4 * H, B))
+    shift[2 * H:3 * H] = 1.0
+    da = np.empty((T, 4 * H, B))  # pre-activation grads, reused by every layer
+    dh_seq = None  # grads flowing into this layer's h from the layer above
+    dh_top = (dv @ params.tensors["proj.w"]).T
+    dc = np.empty((H, B))
+    dh = np.empty((H, B))
+    tmp = np.empty((H, B))
+    tmp4 = np.empty((4 * H, B))
     for layer in reversed(range(cfg.n_layers)):
         wx = params.tensors[f"lstm{layer}.w_x"]
-        wh = params.tensors[f"lstm{layer}.w_h"]
-        x = trace.layer_inputs[layer]
+        wh_t = params.tensors[f"lstm{layer}.w_h"].T
         gates = trace.gates[layer]
         c_prevs = trace.c_prevs[layer]
         tanh_cs = trace.tanh_cs[layer]
+        dc[:] = 0.0
+        dh[:] = dh_top if dh_seq is None else dh_seq[-1]
+        for t in reversed(range(T)):
+            if t < T - 1:
+                np.matmul(wh_t, da[t + 1], out=dh)
+                if dh_seq is not None:
+                    dh += dh_seq[t]
+            gate, tc, d = gates[t], tanh_cs[t], da[t]
+            # dc = f_{t+1} dc_{t+1} + dh o (1 - tanh(c)^2); d[3H:] is scratch
+            # until it receives do.
+            np.multiply(tc, tc, out=d[3 * H:])
+            np.subtract(1.0, d[3 * H:], out=d[3 * H:])
+            np.multiply(dh, gate[3 * H:], out=tmp)
+            tmp *= d[3 * H:]
+            dc += tmp
+            np.multiply(dc, gate[2 * H:3 * H], out=d[:H])
+            np.multiply(dc, c_prevs[t], out=d[H:2 * H])
+            np.multiply(dc, gate[:H], out=d[2 * H:3 * H])
+            np.multiply(dh, tc, out=d[3 * H:])
+            np.add(gate, shift, out=tmp4)
+            d *= tmp4
+            np.subtract(1.0, gate, out=tmp4)
+            d *= tmp4
+            dc *= gate[H:2 * H]
+        x = trace.layer_inputs[layer]
         hs = trace.hs[layer]
         dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros(4 * H)
-        dx = np.empty_like(x)
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
+        dwh = np.zeros((4 * H, H))
         for t in reversed(range(T)):
-            dh = dh + dh_seq[:, t]
-            i = gates[:, t, :H]
-            f = gates[:, t, H:2 * H]
-            g = gates[:, t, 2 * H:3 * H]
-            o = gates[:, t, 3 * H:]
-            tc = tanh_cs[:, t]
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prevs[:, t]
-            da = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f),
-                 dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-            dwx += da.T @ x[:, t]
-            dwh += da.T @ h_prev
-            db += da.sum(axis=0)
-            dx[:, t] = da @ wx
-            dh = da @ wh
-            dc = dc * f
+            dwx += da[t] @ x[t].T
+            if t:
+                dwh += da[t] @ hs[t - 1].T
         grads[f"lstm{layer}.w_x"] = dwx
         grads[f"lstm{layer}.w_h"] = dwh
-        grads[f"lstm{layer}.b"] = db
-        dh_seq = dx
+        grads[f"lstm{layer}.b"] = da.sum(axis=0).sum(axis=1)
+        if layer:
+            dh_seq = np.matmul(wx.T, da)
     return grads
 
 
@@ -338,25 +367,38 @@ def load_checkpoint(path) -> EncoderParams:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
+    if len(blob) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated checkpoint header ({len(blob)} bytes)")
     (version,) = struct.unpack_from("<i", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise UnsupportedFormatError(f"{path}: checkpoint version {version} not supported")
     n_layers, hidden, embed, input_dim, seed = struct.unpack_from("<5i", blob, 8)
+    if min(n_layers, hidden, embed, input_dim) < 1:
+        raise FormatError(f"{path}: non-positive dimension in checkpoint header")
+    # Bound the header against the file before building anything sized by
+    # it: every tensor needs at least its 12 length bytes and its data.
+    h = hidden
+    floats = (4 * h * (input_dim + h + 1) + (n_layers - 1) * 4 * h * (2 * h + 1)
+              + embed * (h + 1))
+    least = _HEADER_BYTES + 12 * (3 * n_layers + 2) + 8 * floats
+    if least > len(blob):
+        raise FormatError(
+            f"{path}: header needs at least {least} bytes, file has {len(blob)}")
     cfg = EncoderConfig(n_layers, hidden, embed, input_dim, seed)
     shapes = _tensor_shapes(cfg)
     tensors = {}
-    offset = 28
+    offset = _HEADER_BYTES
     for name in tensor_order(cfg):
-        if offset + 4 > len(blob):
+        raw = name.encode("utf-8")
+        end = offset + 4 + len(raw) + 8
+        if end > len(blob):
             raise FormatError(f"{path}: truncated checkpoint before {name}")
         (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        stored = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        if stored != name:
-            raise FormatError(f"{path}: expected tensor {name}, found {stored}")
-        (count,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
+        stored = blob[offset + 4:offset + 4 + name_len]
+        if stored != raw:
+            raise FormatError(f"{path}: expected tensor {name}, found {stored!r}")
+        (count,) = struct.unpack_from("<Q", blob, end - 8)
+        offset = end
         shape = shapes[name]
         expected = int(np.prod(shape))
         if count != expected:

@@ -9,7 +9,6 @@ config so reruns can be checked byte for byte.
 """
 
 import json
-import logging
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -58,8 +57,6 @@ from .sampling import (
     coeffs_for,
     iter_batches,
 )
-
-log = logging.getLogger(__name__)
 
 FEMALE_F0_RANGE = (180.0, 260.0)
 MALE_F0_RANGE = (90.0, 150.0)
@@ -230,6 +227,9 @@ class ManifestRecord:
     transcript: str
 
 
+_MANIFEST_FIELDS = ("wav_path", "speaker_id", "gender", "severity", "transcript")
+
+
 def load_manifest(path) -> list:
     """Parse a tab-separated 5-field manifest; any bad line is an error."""
     path = Path(path)
@@ -275,13 +275,21 @@ def write_manifest(records, path) -> Path:
         except ValueError:
             pass  # outside the manifest tree; keep as given
         severity = r.severity if r.severity is not None else "none"
-        for name, value in (("speaker_id", r.speaker_id), ("gender", r.gender)):
+        fields = (wav.as_posix(), r.speaker_id, r.gender, severity, r.transcript)
+        for name, value in zip(_MANIFEST_FIELDS, fields):
             if "\t" in value:
                 raise ManifestError(f"tab character in {name} {value!r}")
-        if "\t" in r.transcript:
-            raise ManifestError(f"tab character in transcript {r.transcript!r}")
-        lines.append("\t".join([wav.as_posix(), r.speaker_id, r.gender,
-                                severity, r.transcript]))
+            # A value without line breaks splits into itself (or nothing, if
+            # empty); load_manifest splits lines with this same rule.
+            if value.splitlines() not in ([], [value]):
+                raise ManifestError(f"line break in {name} {value!r}")
+        if not r.speaker_id:
+            raise ManifestError("empty speaker_id")
+        if r.gender not in GENDERS:
+            raise ManifestError(f"unknown gender {r.gender!r}")
+        if severity != "none" and severity not in SEVERITIES:
+            raise ManifestError(f"unknown severity {severity!r}")
+        lines.append("\t".join(fields))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -21,6 +21,8 @@ from dsrkit.pipeline import RunConfig, run_gender_experiment
 FD_H = 1e-6
 SAMPLE_RATE = 16000
 
+pytestmark = pytest.mark.slow
+
 
 def report(n, label, ok):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} ({label})")

@@ -1,8 +1,12 @@
-"""Encoder: FD gradient oracle, init/step contracts, checkpoint round-trips."""
+"""Encoder: FD and per-step reference oracles, init/step contracts,
+checkpoint round-trips and malformed checkpoints."""
+
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsrkit.audio import MelFrames
 from dsrkit.encoder import (
@@ -21,6 +25,7 @@ from dsrkit.encoder import (
     zero_grads,
 )
 from dsrkit.errors import (
+    DsrkitError,
     FormatError,
     NumericError,
     ParameterError,
@@ -51,6 +56,103 @@ def fd_gradient(params, frames, g, h=1e-5):
             approx[j] = (up - down) / (2.0 * h)
         out[name] = approx.reshape(tensor.shape)
     return out
+
+
+def _sigmoid(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def reference_forward(params, stack):
+    """Batch-major, one step at a time, every gate activated separately:
+    the encoder as first written, kept as the oracle for forward_batch."""
+    cfg = params.config
+    B, T, _ = stack.shape
+    H = cfg.hidden_dim
+    x = stack
+    cache = []
+    for layer in range(cfg.n_layers):
+        wx = params.tensors[f"lstm{layer}.w_x"]
+        wh = params.tensors[f"lstm{layer}.w_h"]
+        b = params.tensors[f"lstm{layer}.b"]
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
+        gates = np.empty((B, T, 4 * H))
+        c_prevs = np.empty((B, T, H))
+        tanh_cs = np.empty((B, T, H))
+        hs = np.empty((B, T, H))
+        for t in range(T):
+            a = x[:, t] @ wx.T + h @ wh.T + b
+            i = _sigmoid(a[:, :H])
+            f = _sigmoid(a[:, H:2 * H])
+            g = np.tanh(a[:, 2 * H:3 * H])
+            o = _sigmoid(a[:, 3 * H:])
+            c_prevs[:, t] = c
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            gates[:, t] = np.concatenate([i, f, g, o], axis=1)
+            tanh_cs[:, t] = tc
+            hs[:, t] = h
+        cache.append((x, gates, c_prevs, tanh_cs, hs))
+        x = hs
+    pre_norm = x[:, -1] @ params.tensors["proj.w"].T + params.tensors["proj.b"]
+    norms = np.linalg.norm(pre_norm, axis=1)
+    return pre_norm / norms[:, None], norms, cache
+
+
+def reference_backward(params, forward, grad_out):
+    """Per-step backward matching reference_forward; every weight gradient
+    is accumulated inside the time loop."""
+    e, norms, cache = forward
+    cfg = params.config
+    H = cfg.hidden_dim
+    B, T = cache[0][0].shape[:2]
+    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / norms[:, None]
+    grads = {"proj.w": dv.T @ cache[-1][4][:, -1], "proj.b": dv.sum(axis=0)}
+    dh_seq = np.zeros((B, T, H))
+    dh_seq[:, -1] = dv @ params.tensors["proj.w"]
+    for layer in reversed(range(cfg.n_layers)):
+        wx = params.tensors[f"lstm{layer}.w_x"]
+        wh = params.tensors[f"lstm{layer}.w_h"]
+        x, gates, c_prevs, tanh_cs, hs = cache[layer]
+        dwx = np.zeros_like(wx)
+        dwh = np.zeros_like(wh)
+        db = np.zeros(4 * H)
+        dx = np.empty_like(x)
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in reversed(range(T)):
+            dh = dh + dh_seq[:, t]
+            i = gates[:, t, :H]
+            f = gates[:, t, H:2 * H]
+            g = gates[:, t, 2 * H:3 * H]
+            o = gates[:, t, 3 * H:]
+            tc = tanh_cs[:, t]
+            do = dh * tc
+            dc = dc + dh * o * (1.0 - tc * tc)
+            di = dc * g
+            dg = dc * i
+            df = dc * c_prevs[:, t]
+            da = np.concatenate(
+                [di * i * (1.0 - i), df * f * (1.0 - f),
+                 dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
+            dwx += da.T @ x[:, t]
+            dwh += da.T @ h_prev
+            db += da.sum(axis=0)
+            dx[:, t] = da @ wx
+            dh = da @ wh
+            dc = dc * f
+        grads[f"lstm{layer}.w_x"] = dwx
+        grads[f"lstm{layer}.w_h"] = dwh
+        grads[f"lstm{layer}.b"] = db
+        dh_seq = dx
+    return grads
 
 
 def max_rel_error(analytic, approx):
@@ -129,6 +231,37 @@ class TestGradients:
         frames = mel(np.zeros((3, 5)))
         with pytest.raises(ShapeError):
             encode_backward(params, frames, np.zeros(5))
+
+
+class TestReferenceOracle:
+    """The fused, hoisted, feature-major recurrence against the per-step
+    reference, at the batch shapes training and evaluation run."""
+
+    @pytest.mark.parametrize("batch,frames", [(128, 98), (64, 198), (16, 98),
+                                              (1, 98), (3, 1)])
+    def test_matches_per_step_reference(self, batch, frames):
+        params = init_params(EncoderConfig(seed=batch + frames))
+        rng = np.random.default_rng(frames)
+        stack = rng.normal(size=(batch, frames, params.config.input_dim))
+        g = rng.normal(size=(batch, params.config.embed_dim))
+        trace = forward_batch(params, stack)
+        expected = reference_forward(params, stack)
+        npt.assert_allclose(trace.embeddings, expected[0], rtol=0, atol=1e-12)
+        # Trace layout: feature-major (T, features, B) per layer.
+        for layer, (x, gates, c_prevs, tanh_cs, hs) in enumerate(expected[2]):
+            for got, want in ((trace.layer_inputs, x), (trace.gates, gates),
+                              (trace.c_prevs, c_prevs), (trace.tanh_cs, tanh_cs),
+                              (trace.hs, hs)):
+                npt.assert_allclose(got[layer], want.transpose(1, 2, 0), rtol=0, atol=1e-12)
+        grads = backward_batch(params, trace, g)
+        reference = reference_backward(params, expected, g)
+        assert list(grads) == list(reference)
+        for name, want in reference.items():
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale, name
+        if frames == 1:
+            npt.assert_array_equal(grads["lstm0.w_h"], 0.0)
+            npt.assert_array_equal(grads["lstm1.w_h"], 0.0)
 
 
 class TestBatching:
@@ -265,6 +398,65 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 17])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"DSRK" + struct.pack("<ii", 1, 2))
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = bytearray(path.read_bytes())
+        blob[28 + 4] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="lstm0.w_x"):
+            load_checkpoint(path)
+
+    def test_huge_header_dims_rejected_before_allocating(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<i", 2**31 - 1)
+        path.write_bytes(bytes(blob))
+
+        def refuse(config):
+            raise AssertionError("tensor list built from an unchecked header")
+
+        monkeypatch.setattr("dsrkit.encoder.tensor_order", refuse)
+        monkeypatch.setattr("dsrkit.encoder._tensor_shapes", refuse)
+        with pytest.raises(FormatError, match="at least"):
+            load_checkpoint(path)
+
+    def test_non_positive_header_dim_rejected(self, tmp_path):
+        path = tmp_path / "zero.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = struct.pack("<i", 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_or_byte_flip_is_a_dsrkit_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "p.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+        where = data.draw(st.integers(0, len(blob) - 1), label="where")
+        flip = data.draw(st.integers(1, 255), label="flip")
+        changed = bytearray(blob)
+        changed[where] ^= flip
+        path.write_bytes(bytes(changed))
+        try:
+            load_checkpoint(path)
+        except DsrkitError:
+            pass
 
     def test_tensor_order_is_layerwise_then_projection(self):
         assert tensor_order(SMALL) == [

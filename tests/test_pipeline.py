@@ -1,9 +1,11 @@
 """Pipeline: manifests, configs, corpus synthesis, training, evaluation, CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsrkit.audio import read_wav
 from dsrkit.cli import main
@@ -56,6 +58,36 @@ class TestManifest:
         path = write_manifest([bare], tmp_path / "none.tsv")
         assert "\tnone\t" in path.read_text(encoding="utf-8")
         assert load_manifest(path)[0].severity is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(speaker_id=st.text(), transcript=st.text())
+    def test_write_load_round_trip_or_rejected(self, tiny_corpus, tmp_path_factory,
+                                               speaker_id, transcript):
+        _, records = tiny_corpus
+        record = ManifestRecord(records[0].wav_path, speaker_id, "male", None, transcript)
+        path = tmp_path_factory.mktemp("rt") / "m.tsv"
+        try:
+            write_manifest([record], path)
+        except ManifestError:
+            return
+        assert load_manifest(path) == [record]
+
+    @pytest.mark.parametrize("field,value", [("speaker_id", ""), ("gender", "other"),
+                                             ("severity", "severe")])
+    def test_unloadable_value_not_written(self, tiny_corpus, tmp_path, field, value):
+        _, records = tiny_corpus
+        good = ManifestRecord(records[0].wav_path, "s1", "female", "moderate", "hi")
+        with pytest.raises(ManifestError, match=field):
+            write_manifest([dataclasses.replace(good, **{field: value})], tmp_path / "u.tsv")
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_line_break_in_any_field_rejected(self, tiny_corpus, tmp_path, brk):
+        _, records = tiny_corpus
+        good = ManifestRecord(records[0].wav_path, "s1", "female", "moderate", "hi")
+        for field in ("speaker_id", "gender", "severity", "transcript"):
+            bad = dataclasses.replace(good, **{field: getattr(good, field) + brk})
+            with pytest.raises(ManifestError, match="line break"):
+                write_manifest([bad], tmp_path / "b.tsv")
 
     def test_field_count_error_carries_line_number(self, tiny_corpus, tmp_path):
         _, records = tiny_corpus
