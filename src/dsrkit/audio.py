@@ -155,14 +155,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_center_freqs(n_mels: int, sample_rate: int, fmin: float = 0.0, fmax=None) -> np.ndarray:
-    """Center frequencies (Hz) of the triangular mel filters."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    return pts[1:-1]
-
-
 def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int,
                    fmin: float = 0.0, fmax=None) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1), peak 1."""

@@ -96,9 +96,6 @@ class EncoderParams:
             if not np.all(np.isfinite(t)):
                 raise ValidationError(f"{name} contains non-finite values")
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
 
 def init_params(config: EncoderConfig) -> EncoderParams:
     """Uniform(-k, k) with k = 1/sqrt(hidden_dim); forget-gate bias shifted
@@ -147,18 +144,6 @@ class BatchTrace:
     pre_norm: np.ndarray       # (B, E)
     norms: np.ndarray          # (B,)
     embeddings: np.ndarray     # (B, E), rows unit-norm
-
-
-def stack_frames(frames_list) -> np.ndarray:
-    """Stack equal-shape MelFrames into a (B, T, D) float64 array."""
-    if not frames_list:
-        raise EmptyInputError("no frame matrices to stack")
-    mats = [np.asarray(f.frames, dtype=np.float64) for f in frames_list]
-    first = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != first:
-            raise ShapeError(f"cannot stack frames of shapes {first} and {m.shape}")
-    return np.stack(mats)
 
 
 def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
@@ -288,30 +273,6 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
         if layer:
             dh_seq = np.matmul(wx.T, da)
     return grads
-
-
-def encode(params: EncoderParams, frames) -> np.ndarray:
-    """Embed one utterance; returns a unit-norm (embed_dim,) vector."""
-    mat = np.asarray(frames.frames, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError("frames must be a 2-D (n_frames, n_mels) matrix")
-    if mat.shape[0] == 0:
-        raise EmptyInputError("cannot encode zero frames")
-    return forward_batch(params, mat[None]).embeddings[0]
-
-
-def encode_backward(params: EncoderParams, frames, grad_out: np.ndarray) -> dict:
-    """Exact parameter gradients of grad_out . encode(params, frames)."""
-    mat = np.asarray(frames.frames, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError("frames must be a 2-D (n_frames, n_mels) matrix")
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (params.config.embed_dim,):
-        raise ShapeError(
-            f"grad_out must have {params.config.embed_dim} entries, got {grad_out.shape}"
-        )
-    trace = forward_batch(params, mat[None])
-    return backward_batch(params, trace, grad_out[None])
 
 
 def zero_grads(params: EncoderParams) -> dict:

@@ -168,18 +168,27 @@ _CONFIG_KEYS = {
 
 
 def load_config(path=None, seed=None) -> RunConfig:
-    """Build a RunConfig from an INI file; unknown keys are errors.
+    """Build a RunConfig from a UTF-8 INI file; unknown keys are errors.
 
-    A seed given here (e.g. from the command line) overrides the file.
+    Values are taken literally (``%`` is not interpolated), and [DEFAULT]
+    entries are rejected rather than merged into every section. A seed
+    given here (e.g. from the command line) overrides the file.
     """
     fields = {}
     if path is not None:
-        parser = ConfigParser()
+        parser = ConfigParser(interpolation=None)
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except ConfigParserError as exc:
             raise ValidationError(f"{path}: cannot parse config ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: config is not UTF-8 ({exc})") from exc
+        if parser.defaults():
+            raise ValidationError(
+                f"{path}: [DEFAULT] entries are not supported: "
+                f"{', '.join(parser.defaults())}"
+            )
         for section in parser.sections():
             for key, raw in parser.items(section):
                 spec = _CONFIG_KEYS.get((section, key))
@@ -308,12 +317,21 @@ def profiles_from_records(records) -> dict:
     return profiles
 
 
-def load_utterances(records) -> list:
-    return [
-        Utterance(r.speaker_id, read_wav(r.wav_path),
-                  utterance_id=Path(r.wav_path).stem, transcript=r.transcript)
-        for r in records
-    ]
+def load_utterances(records, config: RunConfig) -> list:
+    """Decode each record's WAV; its rate must be config.sample_rate, which
+    the mel window, hop and filterbank are defined against."""
+    utterances = []
+    for r in records:
+        buf = read_wav(r.wav_path)
+        if buf.sample_rate != config.sample_rate:
+            raise ValidationError(
+                f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
+                f"config sample_rate {config.sample_rate} Hz"
+            )
+        utterances.append(Utterance(r.speaker_id, buf,
+                                    utterance_id=Path(r.wav_path).stem,
+                                    transcript=r.transcript))
+    return utterances
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +401,16 @@ def augment_file(in_path, out_path, pitch_coeff: float, tempo_coeff: float) -> P
 # Feature extraction and grouped encoding
 
 
-def mel_for(utt: Utterance, config: RunConfig, cache: dict = None):
-    if cache is not None and utt.utterance_id:
-        key = ("mel", utt.utterance_id)
-        if key not in cache:
-            cache[key] = log_mel(utt.buffer, config.n_mels, config.win_s, config.hop_s)
+def mel_for(utt: Utterance, config: RunConfig, cache: dict):
+    """Log-mel features of utt, kept in cache under its utterance_id; an
+    utterance without an id is computed every time."""
+    key = ("mel", utt.utterance_id)
+    if key in cache:
         return cache[key]
-    return log_mel(utt.buffer, config.n_mels, config.win_s, config.hop_s)
+    mel = log_mel(utt.buffer, config.n_mels, config.win_s, config.hop_s)
+    if utt.utterance_id:
+        cache[key] = mel
+    return mel
 
 
 def _grouped_forward(params, mels):
@@ -420,7 +441,7 @@ def _grouped_backward(params, groups, grad_out):
     return total
 
 
-def embed_utterances(params, utterances, config: RunConfig, cache: dict = None):
+def embed_utterances(params, utterances, config: RunConfig, cache: dict):
     mels = [mel_for(u, config, cache) for u in utterances]
     embeddings, _ = _grouped_forward(params, mels)
     return embeddings
@@ -441,7 +462,7 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
-    utterances = load_utterances(records)
+    utterances = load_utterances(records, config)
     by_speaker = {}
     for u in utterances:
         by_speaker.setdefault(u.speaker_id, []).append(u)
@@ -488,7 +509,7 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
-    utterances = load_utterances(records)
+    utterances = load_utterances(records, config)
     profiles = profiles_from_records(records)
     params = load_checkpoint(base_checkpoint)
     if params.config.input_dim != config.n_mels:
@@ -545,10 +566,9 @@ def verification_trials(utterances, embeddings) -> list:
     return trials
 
 
-def gender_centroids(params, records, config: RunConfig, cache: dict = None):
-    """Unit-norm mean embedding per gender over unmodified utterances."""
-    utterances = load_utterances(records)
-    embeddings = embed_utterances(params, utterances, config, cache)
+def gender_centroids(records, embeddings):
+    """Unit-norm mean embedding per gender; embeddings are the unmodified
+    utterances' rows, aligned with records."""
     out = {}
     for gender in GENDERS:
         rows = [i for i, r in enumerate(records) if r.gender == gender]
@@ -559,24 +579,27 @@ def gender_centroids(params, records, config: RunConfig, cache: dict = None):
     return out
 
 
-def probe_shifted_females(params, records, config: RunConfig, centroids,
-                          cache: dict = None):
-    """Pitch-shift each female utterance by its severity coefficient and
-    probe its gender; returns the list of probe labels."""
-    labels = []
-    for r in records:
+def shifted_females(records, utterances, config: RunConfig) -> list:
+    """Each female utterance pitch-shifted by its severity coefficient (the
+    config's severity where the record has none)."""
+    shifted = []
+    for r, u in zip(records, utterances):
         if r.gender != "female":
             continue
         severity = r.severity if r.severity is not None else config.severity
-        coeffs = coeffs_for(severity)
-        buf = read_wav(r.wav_path)
-        utt_id = Path(r.wav_path).stem
-        shifted = Utterance(r.speaker_id, pitch_shift(buf, coeffs.pitch_coeff),
-                            utterance_id=f"{utt_id}#pitch{coeffs.pitch_coeff}")
-        emb = embed_utterances(params, [shifted], config, cache)[0]
-        label, _ = gender_probe(emb, centroids["female"], centroids["male"])
-        labels.append(label)
-    return labels
+        coeff = coeffs_for(severity).pitch_coeff
+        shifted.append(Utterance(r.speaker_id, pitch_shift(u.buffer, coeff),
+                                 utterance_id=f"{u.utterance_id}#pitch{coeff}"))
+    return shifted
+
+
+def probe_shifted_females(params, shifted, config: RunConfig, centroids,
+                          cache: dict):
+    """Gender-probe label of each utterance of `shifted_females`, all
+    embedded in one pass."""
+    embeddings = embed_utterances(params, shifted, config, cache)
+    return [gender_probe(e, centroids["female"], centroids["male"])[0]
+            for e in embeddings]
 
 
 def corpus_wer(references, hypotheses) -> float:
@@ -604,20 +627,21 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
     records = load_manifest(manifest_path)
     params = load_checkpoint(checkpoint)
     cache = {}
-    utterances = load_utterances(records)
+    utterances = load_utterances(records, config)
     embeddings = embed_utterances(params, utterances, config, cache)
     rows = [ReportRow("eer", "all", eer(verification_trials(utterances, embeddings)))]
-    centroids = gender_centroids(params, records, config, cache)
+    centroids = gender_centroids(records, embeddings)
     correct = 0
     for i, r in enumerate(records):
         label, _ = gender_probe(embeddings[i], centroids["female"], centroids["male"])
         correct += label == r.gender
     rows.append(ReportRow("gender_probe_accuracy", "unmodified",
                           correct / len(records)))
-    shifted = probe_shifted_females(params, records, config, centroids, cache)
-    if shifted:
+    labels = probe_shifted_females(params, shifted_females(records, utterances, config),
+                                   config, centroids, cache)
+    if labels:
         rows.append(ReportRow("gender_probe_accuracy", "female_pitch_shifted",
-                              sum(1 for s in shifted if s == "female") / len(shifted)))
+                              labels.count("female") / len(labels)))
     if hypotheses_path is not None:
         hyp_lines = Path(hypotheses_path).read_text(encoding="utf-8").splitlines()
         refs = [r.transcript for r in records]
@@ -650,17 +674,16 @@ def split_holdout(records, per_speaker: int):
     return train, holdout
 
 
-def _holdout_eer(params, records, config, cache):
-    utterances = load_utterances(records)
-    embeddings = embed_utterances(params, utterances, config, cache)
-    return eer(verification_trials(utterances, embeddings))
-
-
 def run_gender_experiment(config: RunConfig, out_dir) -> dict:
-    """Synthesize, pretrain, measure the gender flip, fine-tune, remeasure.
+    """Synthesize, pretrain, fine-tune, then assess both checkpoints.
 
-    Returns the measured rates; also writes all artifacts under out_dir
-    (corpus/, pretrain/, finetune/, experiment_report.{txt,csv}).
+    Each assessment gives the holdout verification EER and the gender-probe
+    labels of the pitch-shifted holdout females, against centroids of the
+    training utterances. Both run after training, on audio decoded once,
+    one set of shifted buffers and one mel cache, so no decoded audio is
+    held through fine-tuning. Returns the measured rates; also writes all
+    artifacts under out_dir (corpus/, pretrain/, finetune/,
+    experiment_report.{txt,csv}).
     """
     if config.holdout_per_speaker < 1:
         raise ParameterError("gender experiment needs at least one held-out "
@@ -674,20 +697,24 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
     write_manifest(holdout, out / "corpus" / "holdout.tsv")
 
     pre_ckpt = pretrain_ge2e(train_manifest, config, out / "pretrain")
-    pre_params = load_checkpoint(pre_ckpt)
-    cache = {}
-    eer_pre = _holdout_eer(pre_params, holdout, config, cache)
-    centroids_pre = gender_centroids(pre_params, train, config, cache)
-    probe_pre = probe_shifted_females(pre_params, holdout, config, centroids_pre, cache)
-    flip_rate = sum(1 for p in probe_pre if p == "male") / len(probe_pre)
-
     post_ckpt = finetune_triplet(train_manifest, pre_ckpt, config, out / "finetune")
-    post_params = load_checkpoint(post_ckpt)
-    cache_post = {}
-    eer_post = _holdout_eer(post_params, holdout, config, cache_post)
-    centroids_post = gender_centroids(post_params, train, config, cache_post)
-    probe_post = probe_shifted_females(post_params, holdout, config,
-                                       centroids_post, cache_post)
+
+    train_utts = load_utterances(train, config)
+    holdout_utts = load_utterances(holdout, config)
+    shifted = shifted_females(holdout, holdout_utts, config)
+    cache = {}
+
+    def measure(ckpt):
+        params = load_checkpoint(ckpt)
+        holdout_emb = embed_utterances(params, holdout_utts, config, cache)
+        centroids = gender_centroids(
+            train, embed_utterances(params, train_utts, config, cache))
+        labels = probe_shifted_females(params, shifted, config, centroids, cache)
+        return eer(verification_trials(holdout_utts, holdout_emb)), labels
+
+    eer_pre, probe_pre = measure(pre_ckpt)
+    flip_rate = sum(1 for p in probe_pre if p == "male") / len(probe_pre)
+    eer_post, probe_post = measure(post_ckpt)
     female_rate = sum(1 for p in probe_post if p == "female") / len(probe_post)
 
     results = {

@@ -118,32 +118,6 @@ def build_triplet(anchor: Utterance, profile: SpeakerProfile, pool,
     return Triplet(anchor, positive, negative, tag)
 
 
-def make_batch(utterances, profiles: dict, batch_size: int, seed: int,
-               cache: dict = None):
-    """One seeded batch of triplets, sampled without replacement.
-
-    Short input (fewer utterances than batch_size) yields a short batch
-    and logs a warning rather than failing.
-    """
-    if batch_size < 1:
-        raise ParameterError("batch_size must be at least 1")
-    if not utterances:
-        raise SamplingError("no utterances to sample from")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    order = rng.permutation(len(utterances))
-    if batch_size > len(utterances):
-        log.warning("short batch: %d utterances for batch size %d",
-                    len(utterances), batch_size)
-    chosen = order[:batch_size]
-    child_seeds = rng.integers(0, 2**31, size=len(chosen))
-    batch = []
-    for idx, child in zip(chosen, child_seeds):
-        anchor = utterances[int(idx)]
-        profile = profiles[anchor.speaker_id]
-        batch.append(build_triplet(anchor, profile, utterances, int(child), cache))
-    return batch
-
-
 def iter_batches(utterances, profiles: dict, batch_size: int, seed: int,
                  cache: dict = None):
     """Endless stream of training batches: a fresh seeded permutation per

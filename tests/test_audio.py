@@ -11,7 +11,7 @@ from dsrkit.audio import (
     MelFrames,
     VoiceSpec,
     log_mel,
-    mel_center_freqs,
+    mel_filterbank,
     read_wav,
     synth_voice,
     write_wav,
@@ -188,8 +188,14 @@ class TestLogMel:
         def from_mel(m):
             return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-        expected = from_mel(np.linspace(to_mel(0.0), to_mel(8000.0), 22))[1:-1]
-        npt.assert_allclose(mel_center_freqs(20, 16000), expected, rtol=1e-12)
+        # Band m rises from edge m to its centre, edge m + 1, and falls to
+        # edge m + 2; the filterbank is sampled on the rfft bin grid.
+        edges = from_mel(np.linspace(to_mel(0.0), to_mel(8000.0), 22))
+        freqs = np.fft.rfftfreq(400, d=1.0 / 16000)
+        lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+        expected = np.maximum(0.0, np.minimum((freqs - lo) / (center - lo),
+                                              (hi - freqs) / (hi - center)))
+        npt.assert_allclose(mel_filterbank(20, 16000, 400), expected, rtol=1e-12, atol=1e-12)
 
     def test_floor_is_lower_bound_everywhere(self):
         rng = np.random.default_rng(9)

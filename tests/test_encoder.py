@@ -8,19 +8,15 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsrkit.audio import MelFrames
 from dsrkit.encoder import (
     EncoderConfig,
     EncoderParams,
     backward_batch,
-    encode,
-    encode_backward,
     forward_batch,
     init_params,
     load_checkpoint,
     save_checkpoint,
     sgd_step,
-    stack_frames,
     tensor_order,
     zero_grads,
 )
@@ -36,12 +32,18 @@ from dsrkit.errors import (
 SMALL = EncoderConfig(n_layers=2, hidden_dim=8, embed_dim=4, input_dim=5, seed=7)
 
 
-def mel(mat):
-    return MelFrames(np.asarray(mat, dtype=np.float64), 0.025, 0.010)
+def embed_one(params, frames):
+    """Embedding of one (T, D) utterance: forward_batch on a (1, T, D) stack."""
+    return forward_batch(params, frames[None]).embeddings[0]
+
+
+def grads_one(params, frames, g):
+    """Gradients of g . embed_one(params, frames) via backward_batch."""
+    return backward_batch(params, forward_batch(params, frames[None]), g[None])
 
 
 def fd_gradient(params, frames, g, h=1e-5):
-    """Independent oracle: central finite differences on g . encode(...)."""
+    """Independent oracle: central finite differences on g . embed_one(...)."""
     out = {}
     for name, tensor in params.tensors.items():
         flat = tensor.ravel()
@@ -49,9 +51,9 @@ def fd_gradient(params, frames, g, h=1e-5):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = float(g @ encode(params, frames))
+            up = float(g @ embed_one(params, frames))
             flat[j] = orig - h
-            down = float(g @ encode(params, frames))
+            down = float(g @ embed_one(params, frames))
             flat[j] = orig
             approx[j] = (up - down) / (2.0 * h)
         out[name] = approx.reshape(tensor.shape)
@@ -168,69 +170,70 @@ class TestEncodeContracts:
     def test_output_is_unit_norm(self):
         params = init_params(SMALL)
         rng = np.random.default_rng(0)
-        e = encode(params, mel(rng.normal(size=(3, 5))))
+        e = embed_one(params, rng.normal(size=(3, 5)))
         assert abs(np.linalg.norm(e) - 1.0) < 1e-9
 
     def test_deterministic(self):
         params = init_params(SMALL)
-        frames = mel(np.random.default_rng(1).normal(size=(4, 5)))
-        assert encode(params, frames).tobytes() == encode(params, frames).tobytes()
+        frames = np.random.default_rng(1).normal(size=(4, 5))
+        assert embed_one(params, frames).tobytes() == embed_one(params, frames).tobytes()
 
     def test_zero_weights_give_normalized_projection_bias(self):
         params = init_params(SMALL)
         for name in params.tensors:
             if name != "proj.b":
                 params.tensors[name][:] = 0.0
-        frames = mel(np.random.default_rng(2).normal(size=(6, 5)))
+        frames = np.random.default_rng(2).normal(size=(6, 5))
         b = params.tensors["proj.b"]
-        npt.assert_allclose(encode(params, frames), b / np.linalg.norm(b), atol=1e-12)
+        npt.assert_allclose(embed_one(params, frames), b / np.linalg.norm(b), atol=1e-12)
 
     def test_rescaling_projection_leaves_embedding_fixed(self):
         params = init_params(SMALL)
-        frames = mel(np.random.default_rng(3).normal(size=(5, 5)))
-        base = encode(params, frames)
+        frames = np.random.default_rng(3).normal(size=(5, 5))
+        base = embed_one(params, frames)
         for s in (0.25, 3.0, 1e4):
-            scaled = params.copy()
-            scaled.tensors["proj.w"] *= s
-            scaled.tensors["proj.b"] *= s
-            npt.assert_allclose(encode(scaled, frames), base, atol=1e-9)
+            tensors = dict(params.tensors)
+            tensors["proj.w"] = s * tensors["proj.w"]
+            tensors["proj.b"] = s * tensors["proj.b"]
+            scaled = EncoderParams(params.config, tensors)
+            npt.assert_allclose(embed_one(scaled, frames), base, atol=1e-9)
 
     def test_wrong_frame_width_rejected(self):
         params = init_params(SMALL)
         with pytest.raises(ShapeError):
-            encode(params, mel(np.zeros((3, 4))))
+            forward_batch(params, np.zeros((1, 3, 4)))
 
 
 class TestGradients:
     def test_matches_central_finite_differences(self):
         params = init_params(SMALL)
         rng = np.random.default_rng(10)
-        frames = mel(rng.normal(size=(3, 5)))
+        frames = rng.normal(size=(3, 5))
         g = rng.normal(size=4)
-        analytic = encode_backward(params, frames, g)
+        analytic = grads_one(params, frames, g)
         approx = fd_gradient(params, frames, g)
         assert max_rel_error(analytic, approx) < 1e-5
 
     def test_zero_upstream_gives_zero_grads(self):
         params = init_params(SMALL)
-        frames = mel(np.random.default_rng(4).normal(size=(3, 5)))
-        grads = encode_backward(params, frames, np.zeros(4))
+        frames = np.random.default_rng(4).normal(size=(3, 5))
+        grads = grads_one(params, frames, np.zeros(4))
         for g in grads.values():
             npt.assert_array_equal(g, np.zeros_like(g))
 
     def test_radial_upstream_gives_zero_grads(self):
         params = init_params(SMALL)
-        frames = mel(np.random.default_rng(5).normal(size=(3, 5)))
-        e = encode(params, frames)
-        grads = encode_backward(params, frames, 2.5 * e)
+        frames = np.random.default_rng(5).normal(size=(3, 5))
+        e = embed_one(params, frames)
+        grads = grads_one(params, frames, 2.5 * e)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-9
 
     def test_wrong_grad_width_rejected(self):
         params = init_params(SMALL)
-        frames = mel(np.zeros((3, 5)))
+        trace = forward_batch(params, np.zeros((1, 3, 5)))
         with pytest.raises(ShapeError):
-            encode_backward(params, frames, np.zeros(5))
+            backward_batch(params, trace, np.zeros((1, 5)))
 
 
 class TestReferenceOracle:
@@ -267,30 +270,25 @@ class TestReferenceOracle:
 class TestBatching:
     def test_batch_embeddings_match_single_encode(self):
         params = init_params(SMALL)
-        rng = np.random.default_rng(6)
-        frames = [mel(rng.normal(size=(4, 5))) for _ in range(5)]
-        batch = forward_batch(params, stack_frames(frames)).embeddings
-        for row, f in zip(batch, frames):
-            npt.assert_allclose(row, encode(params, f), atol=1e-12)
+        stack = np.random.default_rng(6).normal(size=(5, 4, 5))
+        batch = forward_batch(params, stack).embeddings
+        for row, f in zip(batch, stack):
+            npt.assert_allclose(row, embed_one(params, f), atol=1e-12)
 
     def test_batch_grads_equal_sum_of_singles(self):
         params = init_params(SMALL)
         rng = np.random.default_rng(7)
-        frames = [mel(rng.normal(size=(4, 5))) for _ in range(3)]
+        stack = rng.normal(size=(3, 4, 5))
         gouts = rng.normal(size=(3, 4))
-        trace = forward_batch(params, stack_frames(frames))
+        trace = forward_batch(params, stack)
         batch = backward_batch(params, trace, gouts)
         total = zero_grads(params)
-        for f, g in zip(frames, gouts):
-            single = encode_backward(params, f, g)
+        for f, g in zip(stack, gouts):
+            single = grads_one(params, f, g)
             for name in total:
                 total[name] += single[name]
         for name in total:
             npt.assert_allclose(batch[name], total[name], atol=1e-12)
-
-    def test_mismatched_stack_rejected(self):
-        with pytest.raises(ShapeError):
-            stack_frames([mel(np.zeros((3, 5))), mel(np.zeros((4, 5)))])
 
 
 class TestInitParams:

@@ -1,5 +1,6 @@
 """Pipeline: manifests, configs, corpus synthesis, training, evaluation, CLI."""
 
+import collections
 import dataclasses
 import json
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsrkit.audio import read_wav
+import dsrkit.pipeline
+from dsrkit.audio import AudioBuffer, read_wav, write_wav
 from dsrkit.cli import main
 from dsrkit.encoder import init_params, load_checkpoint
 from dsrkit.errors import (
@@ -27,6 +29,7 @@ from dsrkit.pipeline import (
     load_manifest,
     pretrain_ge2e,
     profiles_from_records,
+    run_gender_experiment,
     split_holdout,
     synth_corpus,
     write_manifest,
@@ -170,6 +173,22 @@ class TestConfig:
         path.write_text("[run]\nseed = soon\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             load_config(path)
+
+    @pytest.mark.parametrize("text,match", [
+        (b"[corpus]\nseverity = 50%\n", "'50%'"),
+        (b"[corpus]\nseverity = moderate\xff\n", "not UTF-8"),
+        (b"[DEFAULT]\nseed = 3\n", r"\[DEFAULT\].*seed"),
+        (b"[DEFAULT]\nseed = 3\n[run]\nholdout_per_speaker = 1\n", r"\[DEFAULT\].*seed"),
+    ], ids=["percent_is_literal", "not_utf8", "default_only", "default_with_section"])
+    def test_malformed_ini_rejected(self, tmp_path, capsys, text, match):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        with pytest.raises(ValidationError, match=match):
+            load_config(path)
+        assert main(["synth-corpus", "--config", str(path),
+                     "--out", str(tmp_path / "corpus")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValidationError):
@@ -351,6 +370,57 @@ class TestEvaluate:
         a = evaluate(manifest, ckpt, TINY, tmp_path / "ea")
         b = evaluate(manifest, ckpt, TINY, tmp_path / "eb")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSampleRate:
+    @pytest.fixture
+    def low_rate_manifest(self, tiny_corpus, tmp_path):
+        _, records = tiny_corpus
+        wav = tmp_path / "low.wav"
+        write_wav(AudioBuffer(read_wav(records[0].wav_path).samples[::2], 8000), wav)
+        low = dataclasses.replace(records[0], wav_path=str(wav))
+        return write_manifest([low] + records[1:], tmp_path / "low.tsv")
+
+    def test_pretrain_rejects_other_rate(self, low_rate_manifest, tmp_path):
+        with pytest.raises(ValidationError, match=r"low\.wav.*8000.*16000"):
+            pretrain_ge2e(low_rate_manifest, TINY, tmp_path / "pre")
+
+    def test_evaluate_rejects_other_rate(self, low_rate_manifest, staged, tmp_path):
+        _, _, ckpt = staged
+        with pytest.raises(ValidationError, match=r"low\.wav.*8000.*16000"):
+            evaluate(low_rate_manifest, ckpt, TINY, tmp_path / "ev")
+
+
+@pytest.fixture
+def wav_reads(monkeypatch):
+    """Counts read_wav calls per path, as the pipeline looks the name up."""
+    counts = collections.Counter()
+    read = dsrkit.pipeline.read_wav
+
+    def counting(path):
+        counts[str(path)] += 1
+        return read(path)
+
+    monkeypatch.setattr(dsrkit.pipeline, "read_wav", counting)
+    return counts
+
+
+class TestDecodeOnce:
+    def test_evaluate_reads_each_file_once(self, staged, tmp_path, wav_reads):
+        manifest, records, ckpt = staged
+        evaluate(manifest, ckpt, TINY, tmp_path / "ev")
+        assert wav_reads == {r.wav_path: 1 for r in records}
+
+    def test_experiment_reads_train_thrice_and_holdout_once(self, tmp_path, wav_reads):
+        config = RunConfig(**{**vars(TINY), "utterances_per_speaker": 4,
+                              "holdout_per_speaker": 2})
+        run_gender_experiment(config, tmp_path / "x")
+        records = load_manifest(tmp_path / "x" / "corpus" / "manifest.tsv")
+        train, holdout = split_holdout(records, config.holdout_per_speaker)
+        # Pretraining, fine-tuning and the assessment of both checkpoints.
+        expected = {r.wav_path: 3 for r in train}
+        expected.update((r.wav_path, 1) for r in holdout)
+        assert wav_reads == expected
 
 
 class TestCorpusWer:

@@ -14,7 +14,6 @@ from dsrkit.sampling import (
     build_triplet,
     coeffs_for,
     iter_batches,
-    make_batch,
 )
 
 SR = 16000
@@ -149,16 +148,22 @@ class TestProfiles:
             SpeakerProfile("", "female")
 
 
+def first_batch(utts, profiles, batch_size, seed):
+    return next(iter_batches(utts, profiles, batch_size=batch_size, seed=seed))
+
+
 class TestMakeBatch:
+    """The first batch iter_batches makes: one seeded draw without replacement."""
+
     def test_batch_size_respected(self, small_pool):
         utts, profiles = small_pool
-        assert len(make_batch(utts, profiles, batch_size=1, seed=0)) == 1
-        assert len(make_batch(utts, profiles, batch_size=4, seed=0)) == 4
+        assert len(first_batch(utts, profiles, 1, 0)) == 1
+        assert len(first_batch(utts, profiles, 4, 0)) == 4
 
     def test_short_batch_allowed_and_flagged(self, small_pool, caplog):
         utts, profiles = small_pool
         with caplog.at_level(logging.WARNING, logger="dsrkit.sampling"):
-            batch = make_batch(utts, profiles, batch_size=64, seed=0)
+            batch = first_batch(utts, profiles, 64, 0)
         assert len(batch) == len(utts)
         assert any("short batch" in r.message for r in caplog.records)
 
@@ -167,19 +172,19 @@ class TestMakeBatch:
         def signature(batch):
             return [(t.anchor.utterance_id, t.negative.utterance_id,
                      t.policy_tag["negative_source"]) for t in batch]
-        a = make_batch(utts, profiles, batch_size=4, seed=33)
-        b = make_batch(utts, profiles, batch_size=4, seed=33)
+        a = first_batch(utts, profiles, 4, 33)
+        b = first_batch(utts, profiles, 4, 33)
         assert signature(a) == signature(b)
 
     def test_epoch_has_no_repeat_anchors(self, small_pool):
         utts, profiles = small_pool
-        batch = make_batch(utts, profiles, batch_size=5, seed=7)
+        batch = first_batch(utts, profiles, 5, 7)
         anchors = [t.anchor.utterance_id for t in batch]
         assert len(set(anchors)) == len(anchors)
 
     def test_coefficients_always_match_severity(self, small_pool):
         utts, profiles = small_pool
-        for trip in make_batch(utts, profiles, batch_size=5, seed=11):
+        for trip in first_batch(utts, profiles, 5, 11):
             expected = coeffs_for(profiles[trip.anchor.speaker_id].severity)
             assert trip.policy_tag["pitch_coeff"] == expected.pitch_coeff
             assert trip.policy_tag["tempo_coeff"] == expected.tempo_coeff
