@@ -88,15 +88,21 @@ def read_wav(path) -> AudioBuffer:
             sample_width = wf.getsampwidth()
             comp_type = wf.getcomptype()
             sample_rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            n_frames = wf.getnframes()
+            raw = wf.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"{path}: not a valid RIFF/WAVE file ({exc})") from exc
+    except RuntimeError as exc:  # wave's bare error for a seek past a chunk's end
+        raise FormatError(f"{path}: a chunk size points past its enclosing chunk") from exc
     if comp_type != "NONE":
         raise UnsupportedFormatError(f"{path}: compressed WAV ({comp_type}) not supported")
     if n_channels != 1:
         raise UnsupportedFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
         raise UnsupportedFormatError(f"{path}: expected 16-bit samples, got {8 * sample_width}-bit")
+    if len(raw) != 2 * n_frames:
+        raise FormatError(f"{path}: data chunk holds {len(raw)} bytes, "
+                          f"header declares {2 * n_frames}")
     pcm = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(pcm.astype(np.float64) / 32768.0, sample_rate)
 

@@ -77,53 +77,46 @@ def t_quantile_95(df: int) -> float:
     return NORMAL_QUANTILE_95
 
 
-def cosine(a, b) -> float:
+def cosine(a, b):
+    """Cosine similarity along the last axis; the leading axes broadcast.
+
+    Each row's dot product and norms use the same BLAS dot as a 1-D
+    ``a @ b``, so a stack scores bit for bit like its rows one at a time.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError("cosine requires two vectors of one shape")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-300 or nb < 1e-300:
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
+        raise ShapeError("cosine requires vectors of one length on the last axis")
+    na = np.sqrt(np.vecdot(a, a))
+    nb = np.sqrt(np.vecdot(b, b))
+    if np.any(na < 1e-300) or np.any(nb < 1e-300):
         raise NumericError("cosine of a zero vector is undefined")
-    return float(a @ b / (na * nb))
+    return np.vecdot(a, b) / (na * nb)
 
 
-@dataclass(frozen=True)
-class TrialScore:
-    """One verification trial: a similarity score with its ground truth."""
-
-    score: float
-    label: str  # "genuine" or "impostor"
-
-    def __post_init__(self):
-        if self.label not in ("genuine", "impostor"):
-            raise ValidationError(f"unknown trial label {self.label!r}")
-        if not -1.0 <= self.score <= 1.0:
-            raise ValidationError(f"trial score {self.score} outside [-1, 1]")
-
-
-def eer(trials) -> float:
+def eer(scores, genuine) -> float:
     """Equal error rate by exhaustive sweep over the observed scores.
 
-    Accept rule is score >= threshold. At the threshold minimizing
-    |FAR - FRR| (ties resolved toward the lower threshold) the EER is
-    (FAR + FRR) / 2.
+    scores are trial similarities in [-1, 1]; genuine is the matching mask
+    (True for same-speaker trials, False for impostors). Accept rule is
+    score >= threshold. At the threshold minimizing |FAR - FRR| (ties
+    resolved toward the lower threshold) the EER is (FAR + FRR) / 2.
     """
-    genuine = np.array([t.score for t in trials if t.label == "genuine"])
-    impostor = np.array([t.score for t in trials if t.label == "impostor"])
-    if len(genuine) == 0 or len(impostor) == 0:
+    scores = np.asarray(scores, dtype=np.float64)
+    genuine = np.asarray(genuine, dtype=bool)
+    if scores.ndim != 1 or scores.shape != genuine.shape:
+        raise ShapeError("eer needs one genuine flag per score")
+    if not np.all(np.abs(scores) <= 1.0):
+        raise ValidationError("trial scores must lie in [-1, 1] (no NaN)")
+    target = np.sort(scores[genuine])
+    impostor = np.sort(scores[~genuine])
+    if len(target) == 0 or len(impostor) == 0:
         raise InsufficientTrialsError("need at least one genuine and one impostor trial")
-    best_gap = None
-    best_eer = None
-    for thr in sorted(set(genuine) | set(impostor)):
-        far = float(np.mean(impostor >= thr))
-        frr = float(np.mean(genuine < thr))
-        gap = abs(far - frr)
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-            best_eer = (far + frr) / 2.0
-    return best_eer
+    thresholds = np.unique(scores)
+    far = (len(impostor) - np.searchsorted(impostor, thresholds)) / len(impostor)
+    frr = np.searchsorted(target, thresholds) / len(target)
+    best = np.argmin(np.abs(far - frr))
+    return float((far[best] + frr[best]) / 2.0)
 
 
 def tokenize(text) -> list:
@@ -179,20 +172,23 @@ def mos_summary(scores) -> MosSummary:
     return MosSummary(mean, half, int(vals.size))
 
 
-def gender_probe(embedding, female_centroid, male_centroid):
-    """Nearest-centroid gender decision by cosine; ties classify female.
+def gender_probe(embeddings, female_centroid, male_centroid):
+    """Nearest-centroid gender decision by cosine for each row of an (N, D)
+    stack; ties classify female.
 
-    Returns (label, margin) with margin = winning cosine minus losing.
+    Returns (labels, margins): "female"/"male" per row, and the winning
+    cosine minus the losing one.
     """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2:
+        raise ShapeError("gender_probe takes an (N, D) stack of embeddings")
     for c in (female_centroid, male_centroid):
         norm = np.linalg.norm(np.asarray(c, dtype=np.float64))
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError("gender-probe centroids must be unit-norm")
-    cos_f = cosine(embedding, female_centroid)
-    cos_m = cosine(embedding, male_centroid)
-    if cos_f >= cos_m:
-        return "female", cos_f - cos_m
-    return "male", cos_m - cos_f
+    cos_f = cosine(embeddings, female_centroid)
+    cos_m = cosine(embeddings, male_centroid)
+    return np.where(cos_f >= cos_m, "female", "male"), np.abs(cos_f - cos_m)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .errors import (
 from .losses import Ge2eScale, ge2e_loss, triplet_loss
 from .metrics import (
     ReportRow,
-    TrialScore,
     cosine,
     eer,
     gender_probe,
@@ -246,6 +245,8 @@ def load_manifest(path) -> list:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ManifestError(f"{path}: cannot read manifest ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: manifest is not UTF-8 ({exc})") from exc
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -329,7 +330,7 @@ def load_utterances(records, config: RunConfig) -> list:
                 f"config sample_rate {config.sample_rate} Hz"
             )
         utterances.append(Utterance(r.speaker_id, buf,
-                                    utterance_id=Path(r.wav_path).stem,
+                                    utterance_id=r.wav_path,
                                     transcript=r.transcript))
     return utterances
 
@@ -553,17 +554,13 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
 # Evaluation
 
 
-def verification_trials(utterances, embeddings) -> list:
-    """All-pairs trials: same speaker = genuine, different = impostor."""
-    trials = []
-    for i in range(len(utterances)):
-        for j in range(i + 1, len(utterances)):
-            score = cosine(embeddings[i], embeddings[j])
-            score = min(1.0, max(-1.0, score))
-            label = ("genuine" if utterances[i].speaker_id == utterances[j].speaker_id
-                     else "impostor")
-            trials.append(TrialScore(score, label))
-    return trials
+def verification_trials(utterances, embeddings):
+    """All-pairs trials (i, j), i < j in row-major order: (scores, genuine)
+    with cosine scores clipped to [-1, 1] and genuine = same speaker."""
+    i, j = np.triu_indices(len(utterances), k=1)
+    speakers = np.array([u.speaker_id for u in utterances])
+    scores = np.clip(cosine(embeddings[i], embeddings[j]), -1.0, 1.0)
+    return scores, speakers[i] == speakers[j]
 
 
 def gender_centroids(records, embeddings):
@@ -595,11 +592,10 @@ def shifted_females(records, utterances, config: RunConfig) -> list:
 
 def probe_shifted_females(params, shifted, config: RunConfig, centroids,
                           cache: dict):
-    """Gender-probe label of each utterance of `shifted_females`, all
-    embedded in one pass."""
+    """Gender-probe labels of the utterances of `shifted_females`, all
+    embedded and probed in one pass."""
     embeddings = embed_utterances(params, shifted, config, cache)
-    return [gender_probe(e, centroids["female"], centroids["male"])[0]
-            for e in embeddings]
+    return gender_probe(embeddings, centroids["female"], centroids["male"])[0]
 
 
 def corpus_wer(references, hypotheses) -> float:
@@ -629,21 +625,23 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
     cache = {}
     utterances = load_utterances(records, config)
     embeddings = embed_utterances(params, utterances, config, cache)
-    rows = [ReportRow("eer", "all", eer(verification_trials(utterances, embeddings)))]
+    rows = [ReportRow("eer", "all", eer(*verification_trials(utterances, embeddings)))]
     centroids = gender_centroids(records, embeddings)
-    correct = 0
-    for i, r in enumerate(records):
-        label, _ = gender_probe(embeddings[i], centroids["female"], centroids["male"])
-        correct += label == r.gender
+    labels, _ = gender_probe(embeddings, centroids["female"], centroids["male"])
+    genders = [r.gender for r in records]
     rows.append(ReportRow("gender_probe_accuracy", "unmodified",
-                          correct / len(records)))
+                          float(np.mean(labels == genders))))
     labels = probe_shifted_females(params, shifted_females(records, utterances, config),
                                    config, centroids, cache)
-    if labels:
+    if len(labels):
         rows.append(ReportRow("gender_probe_accuracy", "female_pitch_shifted",
-                              labels.count("female") / len(labels)))
+                              float(np.mean(labels == "female"))))
     if hypotheses_path is not None:
-        hyp_lines = Path(hypotheses_path).read_text(encoding="utf-8").splitlines()
+        try:
+            hyp_lines = Path(hypotheses_path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{hypotheses_path}: hypotheses are not UTF-8 ({exc})") from exc
         refs = [r.transcript for r in records]
         rows.append(ReportRow("wer", "corpus", corpus_wer(refs, hyp_lines)))
     write_text_report(rows, out / "report.txt")
@@ -710,12 +708,12 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
         centroids = gender_centroids(
             train, embed_utterances(params, train_utts, config, cache))
         labels = probe_shifted_females(params, shifted, config, centroids, cache)
-        return eer(verification_trials(holdout_utts, holdout_emb)), labels
+        return eer(*verification_trials(holdout_utts, holdout_emb)), labels
 
     eer_pre, probe_pre = measure(pre_ckpt)
-    flip_rate = sum(1 for p in probe_pre if p == "male") / len(probe_pre)
+    flip_rate = float(np.mean(probe_pre == "male"))
     eer_post, probe_post = measure(post_ckpt)
-    female_rate = sum(1 for p in probe_post if p == "female") / len(probe_post)
+    female_rate = float(np.mean(probe_post == "female"))
 
     results = {
         "eer_holdout_pretrained": eer_pre,

@@ -15,7 +15,7 @@ from dsrkit.audio import AudioBuffer
 from dsrkit.augment import pitch_shift, tempo_change
 from dsrkit.encoder import EncoderConfig, backward_batch, forward_batch, init_params, tensor_order
 from dsrkit.losses import Ge2eScale, ctc_loss, ge2e_loss, s2s_ce_loss, triplet_loss
-from dsrkit.metrics import TrialScore, eer, mos_summary, wer
+from dsrkit.metrics import eer, mos_summary, wer
 from dsrkit.pipeline import RunConfig, run_gender_experiment
 
 FD_H = 1e-6
@@ -274,11 +274,10 @@ def test_criterion_5_gender_consistency(experiment):
 
 
 def test_criterion_6_metric_exactness():
-    hand_eer = eer([TrialScore(0.9, "genuine"), TrialScore(0.8, "genuine"),
-                    TrialScore(0.4, "genuine"), TrialScore(0.5, "impostor"),
-                    TrialScore(0.3, "impostor"), TrialScore(0.2, "impostor")])
-    perfect = eer([TrialScore(0.9, "genuine"), TrialScore(0.1, "impostor")])
-    inverted = eer([TrialScore(0.1, "genuine"), TrialScore(0.9, "impostor")])
+    hand_eer = eer([0.9, 0.8, 0.4, 0.5, 0.3, 0.2],
+                   [True, True, True, False, False, False])
+    perfect = eer([0.9, 0.1], [True, False])
+    inverted = eer([0.1, 0.9], [True, False])
     eer_ok = hand_eer == 1.0 / 3.0 and perfect == 0.0 and inverted == 1.0
 
     wer_ok = (wer("the cat sat", "the bat") == 2.0 / 3.0

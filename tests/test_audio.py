@@ -1,10 +1,12 @@
 """Audio core: WAV scaling, synthesis frequency accuracy, log-mel geometry."""
 
+import struct
 import wave
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsrkit.audio import (
     AudioBuffer,
@@ -17,6 +19,7 @@ from dsrkit.audio import (
     write_wav,
 )
 from dsrkit.errors import (
+    DsrkitError,
     EmptyInputError,
     FormatError,
     ParameterError,
@@ -88,6 +91,52 @@ class TestWavErrors:
         path.write_bytes(b"definitely not a wav file" * 3)
         with pytest.raises(FormatError):
             read_wav(path)
+
+    @pytest.mark.parametrize("cut", [1, 2, 101], ids=["odd_byte", "one_sample", "odd_tail"])
+    def test_data_shorter_than_declared_rejected(self, tmp_path, cut):
+        path = tmp_path / "short.wav"
+        write_wav(AudioBuffer(np.full(400, 0.25)), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match="header declares 800"):
+            read_wav(path)
+
+    def test_chunk_size_past_riff_end_rejected(self, tmp_path):
+        path = tmp_path / "fmt.wav"
+        write_wav(AudioBuffer(np.zeros(400)), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<I", 1000)  # 'fmt ' chunk size
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="past"):
+            read_wav(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_or_byte_flip_loads_or_is_a_dsrkit_error(
+            self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("wav") / "m.wav"
+        write_wav(AudioBuffer(0.5 * np.sin(np.arange(160) / 3.0)), path)
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+        else:
+            blob[data.draw(st.integers(0, len(blob) - 1), label="where")] ^= \
+                data.draw(st.integers(1, 255), label="flip")
+        path.write_bytes(bytes(blob))
+        try:
+            read_wav(path)
+        except DsrkitError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(pcm=st.lists(st.integers(-32767, 32767), max_size=64),
+           rate=st.integers(1, 192000))
+    def test_write_read_round_trips_int16_samples(self, tmp_path_factory, pcm, rate):
+        path = tmp_path_factory.mktemp("rt") / "rt.wav"
+        pcm = np.array(pcm, dtype=np.int64)
+        write_wav(AudioBuffer(pcm / 32767.0, rate), path)
+        back = read_wav(path)
+        assert back.sample_rate == rate
+        npt.assert_array_equal(back.samples * 32768.0, pcm)
 
 
 class TestSynthVoice:

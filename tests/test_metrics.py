@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dsrkit.audio import AudioBuffer
 from dsrkit.errors import (
     EmptyInputError,
     InsufficientTrialsError,
@@ -14,7 +16,6 @@ from dsrkit.errors import (
 from dsrkit.metrics import (
     MosSummary,
     ReportRow,
-    TrialScore,
     cosine,
     eer,
     gender_probe,
@@ -25,6 +26,8 @@ from dsrkit.metrics import (
     write_csv_report,
     write_text_report,
 )
+from dsrkit.pipeline import verification_trials
+from dsrkit.sampling import Utterance
 
 
 class TestCosine:
@@ -40,6 +43,8 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(NumericError):
             cosine([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(NumericError):
+            cosine([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -47,24 +52,25 @@ class TestCosine:
 
 
 def trials(genuine, impostor):
-    return [TrialScore(s, "genuine") for s in genuine] + \
-           [TrialScore(s, "impostor") for s in impostor]
+    """(scores, genuine mask) with the genuine scores first."""
+    scores = np.concatenate([np.asarray(genuine, float), np.asarray(impostor, float)])
+    return scores, np.arange(len(scores)) < len(genuine)
 
 
 class TestEer:
     def test_perfect_separation(self):
-        assert eer(trials([0.9, 0.9, 0.9], [0.1, 0.1])) == 0.0
+        assert eer(*trials([0.9, 0.9, 0.9], [0.1, 0.1])) == 0.0
 
     def test_inverted_separation(self):
-        assert eer(trials([0.1, 0.1], [0.9, 0.9])) == 1.0
+        assert eer(*trials([0.1, 0.1], [0.9, 0.9])) == 1.0
 
     def test_hand_sweep(self):
-        value = eer(trials([0.9, 0.8, 0.4], [0.5, 0.3, 0.2]))
+        value = eer(*trials([0.9, 0.8, 0.4], [0.5, 0.3, 0.2]))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_shift_invariance(self):
-        base = eer(trials([0.5, 0.4, 0.1], [0.3, 0.2, 0.0]))
-        shifted = eer(trials([0.8, 0.7, 0.4], [0.6, 0.5, 0.3]))
+        base = eer(*trials([0.5, 0.4, 0.1], [0.3, 0.2, 0.0]))
+        shifted = eer(*trials([0.8, 0.7, 0.4], [0.6, 0.5, 0.3]))
         assert base == shifted
 
     def test_range_on_random_sets(self):
@@ -72,19 +78,26 @@ class TestEer:
         for _ in range(20):
             g = rng.uniform(-1, 1, size=rng.integers(1, 8))
             i = rng.uniform(-1, 1, size=rng.integers(1, 8))
-            assert 0.0 <= eer(trials(g, i)) <= 1.0
+            assert 0.0 <= eer(*trials(g, i)) <= 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientTrialsError):
-            eer(trials([0.9], []))
+            eer(*trials([0.9], []))
         with pytest.raises(InsufficientTrialsError):
-            eer(trials([], [0.1]))
+            eer(*trials([], [0.1]))
 
     def test_trial_validation(self):
+        """A score outside [-1, 1] or a NaN is rejected."""
         with pytest.raises(ValidationError):
-            TrialScore(1.5, "genuine")
+            eer(*trials([1.5], [0.1]))
         with pytest.raises(ValidationError):
-            TrialScore(0.5, "target")
+            eer(*trials([0.9], [-1.5]))
+        with pytest.raises(ValidationError):
+            eer(*trials([np.nan], [0.1]))
+
+    def test_mask_length_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            eer([0.9, 0.1], [True])
 
 
 class TestWer:
@@ -171,31 +184,98 @@ class TestTQuantiles:
 
 class TestGenderProbe:
     def test_female_match(self):
-        label, margin = gender_probe([1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-        assert label == "female"
-        assert margin == pytest.approx(1.0, abs=1e-12)
+        labels, margins = gender_probe([[1.0, 0.0]], [1.0, 0.0], [0.0, 1.0])
+        assert list(labels) == ["female"]
+        assert margins[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_goes_female(self):
-        e = np.array([1.0, 1.0]) / np.sqrt(2)
-        label, margin = gender_probe(e, [1.0, 0.0], [0.0, 1.0])
-        assert label == "female"
-        assert margin == pytest.approx(0.0, abs=1e-12)
+        e = np.array([[1.0, 1.0]]) / np.sqrt(2)
+        labels, margins = gender_probe(e, [1.0, 0.0], [0.0, 1.0])
+        assert list(labels) == ["female"]
+        assert margins[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_male_match(self):
-        label, margin = gender_probe([0.1, 0.9], [1.0, 0.0], [0.0, 1.0])
-        assert label == "male"
-        assert margin > 0
+        labels, margins = gender_probe([[0.1, 0.9]], [1.0, 0.0], [0.0, 1.0])
+        assert list(labels) == ["male"]
+        assert margins[0] > 0
 
     def test_scale_invariant_decision(self):
-        e = np.array([0.3, 0.7])
+        e = np.array([[0.3, 0.7]])
         base = gender_probe(e, [1.0, 0.0], [0.0, 1.0])
         scaled = gender_probe(10.0 * e, [1.0, 0.0], [0.0, 1.0])
-        assert base[0] == scaled[0]
-        assert base[1] == pytest.approx(scaled[1], abs=1e-12)
+        assert list(base[0]) == list(scaled[0])
+        assert base[1][0] == pytest.approx(scaled[1][0], abs=1e-12)
 
     def test_non_unit_centroid_rejected(self):
         with pytest.raises(ValidationError):
-            gender_probe([1.0, 0.0], [2.0, 0.0], [0.0, 1.0])
+            gender_probe([[1.0, 0.0]], [2.0, 0.0], [0.0, 1.0])
+
+    def test_single_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            gender_probe([1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+
+
+def reference_cosine(a, b) -> float:
+    """The scalar per-pair cosine the stacked one replaced."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def reference_eer(scores, genuine) -> float:
+    """The per-threshold sweep the sort-based eer replaced."""
+    target = np.array([s for s, g in zip(scores, genuine) if g])
+    impostor = np.array([s for s, g in zip(scores, genuine) if not g])
+    best_gap = best_eer = None
+    for thr in sorted(set(target) | set(impostor)):
+        far = float(np.mean(impostor >= thr))
+        frr = float(np.mean(target < thr))
+        if best_gap is None or abs(far - frr) < best_gap:
+            best_gap, best_eer = abs(far - frr), (far + frr) / 2.0
+    return best_eer
+
+
+unit_scores = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestScoringOracle:
+    """Stacked cosine and sort-based eer against the per-pair, per-threshold
+    code they replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_eer_equals_sweep(self, data):
+        # Drawing n scores from a pool of k values gives ties, across and
+        # within classes, whenever k < n.
+        pool = data.draw(st.lists(unit_scores, min_size=1, max_size=40), label="pool")
+        n = data.draw(st.integers(2, 40), label="n")
+        scores = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                           label="scores")
+        genuine = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                            .filter(lambda g: 0 < sum(g) < len(g)), label="genuine")
+        assert eer(scores, genuine) == reference_eer(scores, genuine)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_cosine_equals_rows(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, n, dim))
+        stacked = cosine(a, b)
+        assert stacked.shape == (n,)
+        assert list(stacked) == [reference_cosine(x, y) for x, y in zip(a, b)]
+        against_one = cosine(a, b[0])
+        assert list(against_one) == [reference_cosine(x, b[0]) for x in a]
+
+    def test_pipeline_trials_equal_pairwise_reference(self):
+        rng = np.random.default_rng(5)
+        utterances = [Utterance(f"s{k % 3}", AudioBuffer(np.zeros(4)))
+                      for k in range(7)]
+        embeddings = rng.normal(size=(7, 16))
+        scores, genuine = verification_trials(utterances, embeddings)
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        assert list(scores) == [reference_cosine(embeddings[i], embeddings[j])
+                                for i, j in pairs]
+        assert list(genuine) == [i % 3 == j % 3 for i, j in pairs]
 
 
 class TestReports:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsrkit.pipeline
-from dsrkit.audio import AudioBuffer, read_wav, write_wav
+from dsrkit.audio import AudioBuffer, VoiceSpec, read_wav, synth_voice, write_wav
 from dsrkit.cli import main
 from dsrkit.encoder import init_params, load_checkpoint
 from dsrkit.errors import (
@@ -23,10 +23,12 @@ from dsrkit.pipeline import (
     ManifestRecord,
     RunConfig,
     corpus_wer,
+    embed_utterances,
     evaluate,
     finetune_triplet,
     load_config,
     load_manifest,
+    load_utterances,
     pretrain_ge2e,
     profiles_from_records,
     run_gender_experiment,
@@ -390,6 +392,31 @@ class TestSampleRate:
         with pytest.raises(ValidationError, match=r"low\.wav.*8000.*16000"):
             evaluate(low_rate_manifest, ckpt, TINY, tmp_path / "ev")
 
+    @settings(max_examples=50, deadline=None)
+    @given(rate=st.integers(1, 192000).filter(lambda r: r != TINY.sample_rate))
+    def test_load_utterances_rejects_any_other_rate(self, tiny_corpus,
+                                                    tmp_path_factory, rate):
+        _, records = tiny_corpus
+        wav = tmp_path_factory.mktemp("rate") / "r.wav"
+        write_wav(AudioBuffer(np.zeros(64), rate), wav)
+        record = dataclasses.replace(records[0], wav_path=str(wav))
+        with pytest.raises(ValidationError, match=f"{rate} Hz"):
+            load_utterances([record], TINY)
+
+
+class TestUtteranceIds:
+    def test_same_named_wavs_do_not_share_cache_entries(self, tmp_path):
+        records = []
+        for folder, f0 in (("a", 200.0), ("b", 120.0)):
+            (tmp_path / folder).mkdir()
+            wav = tmp_path / folder / "001.wav"
+            write_wav(synth_voice(VoiceSpec(f0, 6, 10.0, 0.5)), wav)
+            records.append(ManifestRecord(str(wav), folder, "female", None, ""))
+        utterances = load_utterances(records, TINY)
+        params = init_params(TINY.encoder_config())
+        embeddings = embed_utterances(params, utterances, TINY, {})
+        assert not np.array_equal(embeddings[0], embeddings[1])
+
 
 @pytest.fixture
 def wav_reads(monkeypatch):
@@ -488,6 +515,29 @@ class TestCli:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_one_error_line(self, tiny_corpus, tmp_path, capsys):
+        _, records = tiny_corpus
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(f"{records[0].wav_path}\ts1\tfemale\tnone\tcaf\xe9\n"
+                         .encode("latin-1"))
+        with pytest.raises(ManifestError, match="not UTF-8"):
+            load_manifest(path)
+        assert main(["pretrain", "--manifest", str(path),
+                     "--out", str(tmp_path / "pre")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+
+    def test_non_utf8_hypotheses_is_one_error_line(self, staged, tmp_path, capsys):
+        manifest, records, ckpt = staged
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_bytes(b"caf\xe9\n" * len(records))
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            evaluate(manifest, ckpt, TINY, tmp_path / "ev", hypotheses_path=hyp)
+        assert main(["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev2"), "--hyp", str(hyp)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
