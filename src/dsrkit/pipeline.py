@@ -403,15 +403,11 @@ def augment_file(in_path, out_path, pitch_coeff: float, tempo_coeff: float) -> P
 
 
 def mel_for(utt: Utterance, config: RunConfig, cache: dict):
-    """Log-mel features of utt, kept in cache under its utterance_id; an
-    utterance without an id is computed every time."""
+    """Log-mel features of utt, kept in cache under its utterance_id."""
     key = ("mel", utt.utterance_id)
-    if key in cache:
-        return cache[key]
-    mel = log_mel(utt.buffer, config.n_mels, config.win_s, config.hop_s)
-    if utt.utterance_id:
-        cache[key] = mel
-    return mel
+    if key not in cache:
+        cache[key] = log_mel(utt.buffer, config.n_mels, config.win_s, config.hop_s)
+    return cache[key]
 
 
 def _grouped_forward(params, mels):
@@ -621,6 +617,15 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
+    # WER needs only the transcripts, so a bad hypothesis file fails
+    # before any audio is decoded; its row still comes last.
+    if hypotheses_path is not None:
+        try:
+            hyp_lines = Path(hypotheses_path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{hypotheses_path}: hypotheses are not UTF-8 ({exc})") from exc
+        wer_value = corpus_wer([r.transcript for r in records], hyp_lines)
     params = load_checkpoint(checkpoint)
     cache = {}
     utterances = load_utterances(records, config)
@@ -637,13 +642,7 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
         rows.append(ReportRow("gender_probe_accuracy", "female_pitch_shifted",
                               float(np.mean(labels == "female"))))
     if hypotheses_path is not None:
-        try:
-            hyp_lines = Path(hypotheses_path).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(
-                f"{hypotheses_path}: hypotheses are not UTF-8 ({exc})") from exc
-        refs = [r.transcript for r in records]
-        rows.append(ReportRow("wer", "corpus", corpus_wer(refs, hyp_lines)))
+        rows.append(ReportRow("wer", "corpus", wer_value))
     write_text_report(rows, out / "report.txt")
     write_csv_report(rows, out / "report.csv")
     write_run_record(out, "evaluate", config)

@@ -42,7 +42,7 @@ class Utterance:
 
     speaker_id: str
     buffer: AudioBuffer
-    utterance_id: str = ""
+    utterance_id: str
     transcript: str = ""
 
 
@@ -69,25 +69,21 @@ def coeffs_for(severity: str) -> AugmentCoeffs:
     raise ParameterError(f"no coefficients defined for severity {severity!r}")
 
 
-def _cached_augment(cache, utt: Utterance, kind: str, coeff: float) -> AudioBuffer:
-    if cache is None or not utt.utterance_id:
-        return _apply(utt.buffer, kind, coeff)
+def _cached_augment(cache: dict, utt: Utterance, kind: str, coeff: float) -> AudioBuffer:
     key = (utt.utterance_id, kind, coeff)
     if key not in cache:
-        cache[key] = _apply(utt.buffer, kind, coeff)
+        augment = tempo_change if kind == "tempo" else pitch_shift
+        cache[key] = augment(utt.buffer, coeff)
     return cache[key]
 
 
-def _apply(buffer: AudioBuffer, kind: str, coeff: float) -> AudioBuffer:
-    return tempo_change(buffer, coeff) if kind == "tempo" else pitch_shift(buffer, coeff)
-
-
 def build_triplet(anchor: Utterance, profile: SpeakerProfile, pool,
-                  seed: int, cache: dict = None) -> Triplet:
+                  seed: int, cache: dict) -> Triplet:
     """Assemble one (anchor, positive, negative) per the gender policy.
 
     pool supplies cross-speaker negative candidates for male anchors; it
     may contain same-speaker utterances, which are filtered out here.
+    cache keeps the augmented audio under the anchor's utterance_id.
     """
     if profile.severity is None:
         raise ParameterError(
@@ -110,7 +106,7 @@ def build_triplet(anchor: Utterance, profile: SpeakerProfile, pool,
         if not others:
             raise SamplingError(
                 f"no cross-speaker negatives available for male anchor "
-                f"{anchor.utterance_id or anchor.speaker_id}"
+                f"{anchor.utterance_id}"
             )
         rng = np.random.default_rng(seed)
         negative = others[int(rng.integers(len(others)))]
@@ -119,7 +115,7 @@ def build_triplet(anchor: Utterance, profile: SpeakerProfile, pool,
 
 
 def iter_batches(utterances, profiles: dict, batch_size: int, seed: int,
-                 cache: dict = None):
+                 cache: dict):
     """Endless stream of training batches: a fresh seeded permutation per
     epoch, consumed in full batches (one short batch per epoch if the pool
     is smaller than batch_size)."""

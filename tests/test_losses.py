@@ -10,6 +10,7 @@ from dsrkit.errors import (
     EmptyInputError,
     InfeasibleAlignmentError,
     InsufficientBatchError,
+    NumericError,
     ParameterError,
     ShapeError,
     ValidationError,
@@ -156,6 +157,32 @@ class TestGe2eLoss:
             ge2e_loss(rng.normal(size=(1, 3, 4)), Ge2eScale())
         with pytest.raises(InsufficientBatchError):
             ge2e_loss(rng.normal(size=(3, 1, 4)), Ge2eScale())
+
+    def test_non_stack_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(N, M, D\) stack"):
+            ge2e_loss(np.ones((4, 3)), Ge2eScale())
+
+    def test_zero_norm_embedding_rejected(self):
+        emb = np.ones((2, 2, 3))
+        emb[1, 0] = 0.0
+        with pytest.raises(NumericError, match="zero-norm embedding"):
+            ge2e_loss(emb, Ge2eScale())
+
+    def test_zero_full_centroid_rejected(self):
+        # Speaker 0's rows sum to 0: its full centroid, as speaker 1's
+        # utterances see it, has no direction.
+        emb = np.array([[[1.0, 0.0], [-1.0, 0.0]],
+                        [[0.0, 1.0], [0.0, 2.0]]])
+        with pytest.raises(NumericError, match="zero-norm centroid"):
+            ge2e_loss(emb, Ge2eScale())
+
+    def test_zero_leave_one_out_centroid_rejected(self):
+        # Leaving out speaker 0's last row leaves rows that sum to 0, while
+        # every full centroid is nonzero.
+        emb = np.array([[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                        [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NumericError, match="zero-norm centroid"):
+            ge2e_loss(emb, Ge2eScale())
 
     def test_scale_validation_and_projection(self):
         with pytest.raises(ParameterError):

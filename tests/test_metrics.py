@@ -268,7 +268,7 @@ class TestScoringOracle:
 
     def test_pipeline_trials_equal_pairwise_reference(self):
         rng = np.random.default_rng(5)
-        utterances = [Utterance(f"s{k % 3}", AudioBuffer(np.zeros(4)))
+        utterances = [Utterance(f"s{k % 3}", AudioBuffer(np.zeros(4)), f"u{k}")
                       for k in range(7)]
         embeddings = rng.normal(size=(7, 16))
         scores, genuine = verification_trials(utterances, embeddings)

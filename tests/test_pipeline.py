@@ -438,6 +438,15 @@ class TestDecodeOnce:
         evaluate(manifest, ckpt, TINY, tmp_path / "ev")
         assert wav_reads == {r.wav_path: 1 for r in records}
 
+    def test_evaluate_checks_hypotheses_before_decoding(self, staged, tmp_path,
+                                                        wav_reads):
+        manifest, records, ckpt = staged
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("one line\n" * (len(records) + 1), encoding="utf-8")
+        with pytest.raises(ShapeError):
+            evaluate(manifest, ckpt, TINY, tmp_path / "ev", hypotheses_path=hyp)
+        assert sum(wav_reads.values()) == 0
+
     def test_experiment_reads_train_thrice_and_holdout_once(self, tmp_path, wav_reads):
         config = RunConfig(**{**vars(TINY), "utterances_per_speaker": 4,
                               "holdout_per_speaker": 2})

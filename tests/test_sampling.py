@@ -67,7 +67,7 @@ class TestBuildTriplet:
     def test_female_policy(self, small_pool):
         utts, profiles = small_pool
         anchor = utts[0]
-        trip = build_triplet(anchor, profiles["f1"], utts, seed=1)
+        trip = build_triplet(anchor, profiles["f1"], utts, seed=1, cache={})
         assert trip.positive.speaker_id == "f1"
         assert trip.negative.speaker_id == "f1"
         assert trip.policy_tag["negative_source"] == "self_pitch_shift"
@@ -80,7 +80,7 @@ class TestBuildTriplet:
     def test_male_policy_uses_cross_speaker_negative(self, small_pool):
         utts, profiles = small_pool
         anchor = utts[2]
-        trip = build_triplet(anchor, profiles["m1"], utts, seed=5)
+        trip = build_triplet(anchor, profiles["m1"], utts, seed=5, cache={})
         assert trip.negative.speaker_id != "m1"
         assert trip.policy_tag["negative_source"].startswith("cross_speaker:")
         assert abs(len(trip.positive.buffer) - 2 * len(anchor.buffer)) \
@@ -89,8 +89,8 @@ class TestBuildTriplet:
     def test_male_same_seed_same_negative(self, small_pool):
         utts, profiles = small_pool
         anchor = utts[2]
-        first = build_triplet(anchor, profiles["m1"], utts, seed=9)
-        second = build_triplet(anchor, profiles["m1"], utts, seed=9)
+        first = build_triplet(anchor, profiles["m1"], utts, seed=9, cache={})
+        second = build_triplet(anchor, profiles["m1"], utts, seed=9, cache={})
         assert first.negative.utterance_id == second.negative.utterance_id
 
     def test_male_empty_pool_rejected(self, small_pool):
@@ -98,18 +98,18 @@ class TestBuildTriplet:
         anchor = utts[2]
         same_speaker_only = [u for u in utts if u.speaker_id == "m1"]
         with pytest.raises(SamplingError):
-            build_triplet(anchor, profiles["m1"], same_speaker_only, seed=0)
+            build_triplet(anchor, profiles["m1"], same_speaker_only, seed=0, cache={})
 
     def test_missing_severity_rejected(self, small_pool):
         utts, _ = small_pool
         profile = SpeakerProfile("f1", "female")
         with pytest.raises(ParameterError):
-            build_triplet(utts[0], profile, utts, seed=0)
+            build_triplet(utts[0], profile, utts, seed=0, cache={})
 
     def test_moderate_severity_coeffs_applied(self, small_pool):
         utts, profiles = small_pool
         anchor = utts[4]
-        trip = build_triplet(anchor, profiles["m2"], utts, seed=2)
+        trip = build_triplet(anchor, profiles["m2"], utts, seed=2, cache={})
         assert trip.policy_tag == {
             "pitch_coeff": 0.25, "tempo_coeff": 0.7,
             "negative_source": trip.policy_tag["negative_source"],
@@ -149,7 +149,7 @@ class TestProfiles:
 
 
 def first_batch(utts, profiles, batch_size, seed):
-    return next(iter_batches(utts, profiles, batch_size=batch_size, seed=seed))
+    return next(iter_batches(utts, profiles, batch_size=batch_size, seed=seed, cache={}))
 
 
 class TestMakeBatch:
@@ -194,7 +194,7 @@ class TestIterBatches:
     def test_stream_is_deterministic(self, small_pool):
         utts, profiles = small_pool
         def take(n):
-            gen = iter_batches(utts, profiles, batch_size=2, seed=5)
+            gen = iter_batches(utts, profiles, batch_size=2, seed=5, cache={})
             out = []
             for _ in range(n):
                 out.append([(t.anchor.utterance_id, t.negative.utterance_id)
@@ -204,6 +204,6 @@ class TestIterBatches:
 
     def test_epoch_covers_pool_without_replacement(self, small_pool):
         utts, profiles = small_pool
-        gen = iter_batches(utts, profiles, batch_size=1, seed=3)
+        gen = iter_batches(utts, profiles, batch_size=1, seed=3, cache={})
         seen = [next(gen)[0].anchor.utterance_id for _ in range(len(utts))]
         assert sorted(seen) == sorted(u.utterance_id for u in utts)
