@@ -63,12 +63,16 @@ def triplet_loss(anchor, positive, negative, alpha: float):
 
 
 def ge2e_loss(embeddings, scale: Ge2eScale):
-    """Softmax GE2E over an (N speakers, M utterances, D) stack.
+    """Softmax GE2E over an (N speakers, M utterances, D) stack, computed
+    as one (N, M, N) similarity tensor (Wan et al. 2018, arXiv:1710.10467):
 
-    Similarity of utterance (j, i) to speaker k is w*cos(e_ji, c_k) + b,
-    where the own-speaker centroid leaves utterance i out. Returns
-    (loss, grad_embeddings, grad_w, grad_b); grad_b is analytically 0 for
-    the softmax variant but is still reported for the optimizer loop.
+        S[j, i, k] = w * cos(e[j, i], c[j, i, k]) + b
+        loss = sum over (j, i) of logsumexp_k S[j, i, k] - S[j, i, j]
+
+    c[j, i, k] is speaker k's centroid; the own-speaker centroid c[j, i, j]
+    leaves utterance i out. Returns (loss, grad_embeddings, grad_w,
+    grad_b); grad_b is analytically 0 for the softmax variant but is still
+    reported for the optimizer loop.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 3:
@@ -76,46 +80,35 @@ def ge2e_loss(embeddings, scale: Ge2eScale):
     n_spk, n_utt, _ = emb.shape
     if n_spk < 2 or n_utt < 2:
         raise InsufficientBatchError("GE2E needs at least 2 speakers x 2 utterances")
-    e_norms = np.linalg.norm(emb, axis=2)
+    e_norms = np.linalg.norm(emb, axis=2, keepdims=True)
     if np.any(e_norms < 1e-300):
         raise NumericError("zero-norm embedding in GE2E batch")
+    own = np.arange(n_spk)
     sums = emb.sum(axis=1)
-    full_cent = sums / n_utt
-    loss = 0.0
-    demb = np.zeros_like(emb)
-    dw = 0.0
-    db = 0.0
-    for j in range(n_spk):
-        for i in range(n_utt):
-            e = emb[j, i]
-            en = e_norms[j, i]
-            cents = full_cent.copy()
-            cents[j] = (sums[j] - e) / (n_utt - 1)
-            cnorms = np.linalg.norm(cents, axis=1)
-            if np.any(cnorms < 1e-300):
-                raise NumericError("zero-norm centroid in GE2E batch")
-            cos = cents @ e / (cnorms * en)
-            sim = scale.w * cos + scale.b
-            top = np.max(sim)
-            lse = top + np.log(np.sum(np.exp(sim - top)))
-            loss += lse - sim[j]
-            dsim = np.exp(sim - lse)
-            dsim[j] -= 1.0
-            dw += float(dsim @ cos)
-            db += float(dsim.sum())
-            for k in range(n_spk):
-                coef = scale.w * dsim[k]
-                ck = cents[k]
-                dcos_de = ck / (cnorms[k] * en) - cos[k] * e / (en * en)
-                dcos_dc = e / (cnorms[k] * en) - cos[k] * ck / (cnorms[k] * cnorms[k])
-                demb[j, i] += coef * dcos_de
-                if k == j:
-                    spread = coef * dcos_dc / (n_utt - 1)
-                    demb[j] += spread
-                    demb[j, i] -= spread
-                else:
-                    demb[k] += coef * dcos_dc / n_utt
-    return loss, demb, dw, db
+    cents = np.tile(sums / n_utt, (n_spk, n_utt, 1, 1))
+    cents[own, :, own] = (sums[:, None] - emb) / (n_utt - 1)
+    c_norms = np.linalg.norm(cents, axis=3)
+    if np.any(c_norms < 1e-300):
+        raise NumericError("zero-norm centroid in GE2E batch")
+    cos = np.vecdot(cents, emb[:, :, None]) / (c_norms * e_norms)
+    sim = scale.w * cos + scale.b
+    top = sim.max(axis=2, keepdims=True)
+    lse = top + np.log(np.exp(sim - top).sum(axis=2, keepdims=True))
+    loss = float(np.sum(lse[:, :, 0] - sim[own, :, own]))
+    dsim = np.exp(sim - lse)
+    dsim[own, :, own] -= 1.0
+    coef = scale.w * dsim
+    inv = coef / (c_norms * e_norms)
+    demb = (np.einsum("jik,jikd->jid", inv, cents)
+            - np.sum(coef * cos, axis=2, keepdims=True) / e_norms**2 * emb)
+    # Gradient through c[j, i, k]: a full centroid spreads it over all M of
+    # speaker k's utterances, a leave-one-out one over the M - 1 other than i.
+    dcent = inv[..., None] * emb[:, :, None] - (coef * cos / c_norms**2)[..., None] * cents
+    loo = dcent[own, :, own]
+    dcent[own, :, own] = 0.0
+    demb += dcent.sum(axis=(0, 1))[:, None] / n_utt
+    demb += (loo.sum(axis=1, keepdims=True) - loo) / (n_utt - 1)
+    return loss, demb, float(np.sum(dsim * cos)), float(np.sum(dsim))
 
 
 def validate_logprobs(logprobs, tol: float = 1e-9) -> None:

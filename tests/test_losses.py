@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsrkit.errors import (
     EmptyInputError,
@@ -191,6 +192,67 @@ class TestGe2eLoss:
             Ge2eScale(w=-1.0)
         stepped = Ge2eScale(w=1e-3, b=0.0).stepped(grad_w=100.0, grad_b=0.0, lr=1.0)
         assert stepped.w == 1e-6
+
+
+def reference_ge2e(emb, scale):
+    """The per-(speaker, utterance, centroid) loop the similarity-tensor
+    ge2e_loss replaced; it rebuilds the centroids for every utterance."""
+    n_spk, n_utt, _ = emb.shape
+    e_norms = np.linalg.norm(emb, axis=2)
+    sums = emb.sum(axis=1)
+    full_cent = sums / n_utt
+    loss = 0.0
+    demb = np.zeros_like(emb)
+    dw = 0.0
+    db = 0.0
+    for j in range(n_spk):
+        for i in range(n_utt):
+            e = emb[j, i]
+            en = e_norms[j, i]
+            cents = full_cent.copy()
+            cents[j] = (sums[j] - e) / (n_utt - 1)
+            cnorms = np.linalg.norm(cents, axis=1)
+            cos = cents @ e / (cnorms * en)
+            sim = scale.w * cos + scale.b
+            top = np.max(sim)
+            lse = top + np.log(np.sum(np.exp(sim - top)))
+            loss += lse - sim[j]
+            dsim = np.exp(sim - lse)
+            dsim[j] -= 1.0
+            dw += float(dsim @ cos)
+            db += float(dsim.sum())
+            for k in range(n_spk):
+                coef = scale.w * dsim[k]
+                ck = cents[k]
+                dcos_de = ck / (cnorms[k] * en) - cos[k] * e / (en * en)
+                dcos_dc = e / (cnorms[k] * en) - cos[k] * ck / (cnorms[k] * cnorms[k])
+                demb[j, i] += coef * dcos_de
+                if k == j:
+                    spread = coef * dcos_dc / (n_utt - 1)
+                    demb[j] += spread
+                    demb[j, i] -= spread
+                else:
+                    demb[k] += coef * dcos_dc / n_utt
+    return loss, demb, dw, db
+
+
+class TestGe2eOracle:
+    """The similarity-tensor ge2e_loss against the loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_spk=st.integers(2, 6), n_utt=st.integers(2, 6), dim=st.integers(2, 16),
+           w=st.floats(0.5, 12.0), b=st.floats(-6.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, n_spk, n_utt, dim, w, b, seed):
+        emb = np.random.default_rng(seed).normal(size=(n_spk, n_utt, dim))
+        emb /= np.linalg.norm(emb, axis=2, keepdims=True)
+        scale = Ge2eScale(w, b)
+        loss, demb, dw, db = ge2e_loss(emb, scale)
+        ref_loss, ref_demb, ref_dw, ref_db = reference_ge2e(emb, scale)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        npt.assert_allclose(demb, ref_demb, rtol=0, atol=1e-12)
+        assert abs(dw - ref_dw) <= 1e-12
+        assert abs(db - ref_db) <= 1e-12
 
 
 def collapse(path, blank):
