@@ -68,16 +68,6 @@ class MelFrames:
     """Time-ordered log-mel feature matrix, one row per analysis frame."""
 
     frames: np.ndarray  # (n_frames, n_mels)
-    frame_win_s: float
-    frame_hop_s: float
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.frames.shape[1]
 
 
 def read_wav(path) -> AudioBuffer:
@@ -202,4 +192,4 @@ def log_mel(buffer: AudioBuffer, n_mels: int, win_s: float, hop_s: float) -> Mel
     fb = mel_filterbank(n_mels, buffer.sample_rate, win_len)
     energies = spectra @ fb.T
     frames = np.log(np.maximum(energies, np.exp(LOG_MEL_FLOOR)))
-    return MelFrames(frames, frame_win_s=win_s, frame_hop_s=hop_s)
+    return MelFrames(frames)

@@ -11,6 +11,7 @@ config so reruns can be checked byte for byte.
 import json
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,9 @@ class RunConfig:
                 raise ValidationError(f"config field {name} must be nonnegative")
         if self.alpha < 0:
             raise ValidationError("alpha must be nonnegative")
+        # numpy seeds must be >= 0; the checkpoint header stores an int32.
+        if not 0 <= self.seed <= 2**31 - 1:
+            raise ValidationError(f"seed {self.seed} outside [0, 2**31 - 1]")
         if self.ge2e_n_speakers < 2 or self.ge2e_m_utterances < 2:
             raise ValidationError("GE2E needs at least 2 speakers and 2 utterances")
         if self.severity not in SEVERITIES:
@@ -448,16 +452,30 @@ def embed_utterances(params, utterances, config: RunConfig, cache: dict):
 # Training
 
 
-def _write_metrics_csv(path, rows):
+def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
+           stage: str, checkpoint: str) -> Path:
+    """The SGD loop of both training stages. Each batch is a list of
+    utterances; objective(embeddings) returns (loss, grad_embeddings).
+    out_dir is created here, after the stage has checked its inputs."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cache = {}
     lines = ["iteration,loss"]
-    lines += [f"{i},{repr(float(loss))}" for i, loss in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for iteration, batch in enumerate(batches):
+        embeddings, groups = _grouped_forward(
+            params, [mel_for(u, config, cache) for u in batch])
+        loss, grad_out = objective(embeddings)
+        params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
+        lines.append(f"{iteration},{repr(float(loss))}")
+    (out / f"{stage}_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ckpt = out / checkpoint
+    save_checkpoint(params, ckpt)
+    write_run_record(out, stage, config)
+    return ckpt
 
 
 def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
     """GE2E pretraining on N speakers x M utterances per iteration."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
     utterances = load_utterances(records, config)
     by_speaker = {}
@@ -471,40 +489,33 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
             f"manifest has {len(rich)}"
         )
     speaker_ids = sorted(rich)
-    params = init_params(config.encoder_config())
+
+    def batches():
+        for iteration in range(config.ge2e_iterations):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, 23, iteration]))
+            batch = []
+            for i in rng.permutation(len(speaker_ids))[:n_spk]:
+                pool = rich[speaker_ids[i]]
+                batch += [pool[int(p)] for p in rng.permutation(len(pool))[:m_utt]]
+            yield batch
+
     scale = Ge2eScale()
-    cache = {}
-    history = []
-    for iteration in range(config.ge2e_iterations):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23, iteration]))
-        chosen_speakers = [speaker_ids[i]
-                           for i in rng.permutation(len(speaker_ids))[:n_spk]]
-        batch = []
-        for s in chosen_speakers:
-            pool = rich[s]
-            picks = rng.permutation(len(pool))[:m_utt]
-            batch += [pool[int(p)] for p in picks]
-        mels = [mel_for(u, config, cache) for u in batch]
-        embeddings, groups = _grouped_forward(params, mels)
-        grid = embeddings.reshape(n_spk, m_utt, config.embed_dim)
-        loss, demb, dw, db = ge2e_loss(grid, scale)
-        grads = _grouped_backward(params, groups,
-                                  demb.reshape(n_spk * m_utt, config.embed_dim))
-        params = sgd_step(params, grads, config.ge2e_lr, config.ge2e_clip)
+
+    def objective(embeddings):
+        nonlocal scale
+        loss, demb, dw, db = ge2e_loss(embeddings.reshape(n_spk, m_utt, -1), scale)
         scale = scale.stepped(dw, db, config.ge2e_scale_lr)
-        history.append((iteration, loss))
-    _write_metrics_csv(out / "pretrain_metrics.csv", history)
-    ckpt = out / "pretrained.ckpt"
-    save_checkpoint(params, ckpt)
-    write_run_record(out, "pretrain", config)
-    return ckpt
+        return loss, demb.reshape(embeddings.shape)
+
+    return _train(init_params(config.encoder_config()), batches(), objective,
+                  config.ge2e_lr, config.ge2e_clip, config, out_dir,
+                  "pretrain", "pretrained.ckpt")
 
 
 def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
                      out_dir) -> Path:
     """Triplet fine-tuning, backpropagating through all three branches."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
     utterances = load_utterances(records, config)
     profiles = profiles_from_records(records)
@@ -514,36 +525,24 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
             f"checkpoint expects {params.config.input_dim} mel bands, "
             f"config says {config.n_mels}"
         )
-    cache = {}
-    batches = iter_batches(utterances, profiles, config.batch_size,
-                           config.seed, cache)
-    history = []
-    for iteration in range(config.triplet_iterations):
-        batch = next(batches)
-        mels = []
-        for trip in batch:
-            mels += [mel_for(trip.anchor, config, cache),
-                     mel_for(trip.positive, config, cache),
-                     mel_for(trip.negative, config, cache)]
-        embeddings, groups = _grouped_forward(params, mels)
+    # islice pulls no batch past the last one; a pull runs the vocoder.
+    triplets = islice(iter_batches(utterances, profiles, config.batch_size,
+                                   config.seed, {}), config.triplet_iterations)
+    batches = ([u for t in batch for u in (t.anchor, t.positive, t.negative)]
+               for batch in triplets)
+
+    def objective(embeddings):
+        # += into zeros, not assignment: it turns a -0.0 gradient into +0.0.
         grad_out = np.zeros_like(embeddings)
         total = 0.0
-        for t_idx in range(len(batch)):
-            a_row, p_row, n_row = 3 * t_idx, 3 * t_idx + 1, 3 * t_idx + 2
-            loss, ga, gp, gn = triplet_loss(embeddings[a_row], embeddings[p_row],
-                                            embeddings[n_row], config.alpha)
+        for row in range(0, len(embeddings), 3):
+            loss, *grads = triplet_loss(*embeddings[row:row + 3], config.alpha)
             total += loss
-            grad_out[a_row] += ga
-            grad_out[p_row] += gp
-            grad_out[n_row] += gn
-        grads = _grouped_backward(params, groups, grad_out)
-        params = sgd_step(params, grads, config.triplet_lr, config.triplet_clip)
-        history.append((iteration, total))
-    _write_metrics_csv(out / "finetune_metrics.csv", history)
-    ckpt = out / "finetuned.ckpt"
-    save_checkpoint(params, ckpt)
-    write_run_record(out, "finetune", config)
-    return ckpt
+            grad_out[row:row + 3] += grads
+        return total, grad_out
+
+    return _train(params, batches, objective, config.triplet_lr, config.triplet_clip,
+                  config, out_dir, "finetune", "finetuned.ckpt")
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +613,6 @@ def corpus_wer(references, hypotheses) -> float:
 def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
              hypotheses_path=None) -> Path:
     """Verification EER, gender-probe accuracy, and optional corpus WER."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
     # WER needs only the transcripts, so a bad hypothesis file fails
     # before any audio is decoded; its row still comes last.
@@ -643,6 +640,8 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
                               float(np.mean(labels == "female"))))
     if hypotheses_path is not None:
         rows.append(ReportRow("wer", "corpus", wer_value))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_text_report(rows, out / "report.txt")
     write_csv_report(rows, out / "report.csv")
     write_run_record(out, "evaluate", config)

@@ -198,6 +198,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             RunConfig(alpha=-0.1)
 
+    def test_seed_outside_int32_range_rejected(self):
+        for seed in (-1, 2**31):
+            with pytest.raises(ValidationError, match="seed"):
+                RunConfig(seed=seed)
+        assert RunConfig(seed=2**31 - 1).seed == 2**31 - 1
+
     def test_f0_windows_must_stay_in_spec_ranges(self):
         with pytest.raises(ValidationError):
             RunConfig(female_f0_min=150.0)
@@ -432,6 +438,59 @@ def wav_reads(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Counts the training loop's calls, as the pipeline looks the names up;
+    "batches" counts next() on the generator iter_batches returns."""
+    counts = collections.Counter()
+
+    def counting(name):
+        original = getattr(dsrkit.pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dsrkit.pipeline, name, wrapper)
+
+    for name in ("sgd_step", "forward_batch", "backward_batch"):
+        counting(name)
+    iter_batches = dsrkit.pipeline.iter_batches
+
+    def counting_batches(*args, **kwargs):
+        for batch in iter_batches(*args, **kwargs):  # endless: one pull per next()
+            counts["batches"] += 1
+            yield batch
+
+    monkeypatch.setattr(dsrkit.pipeline, "iter_batches", counting_batches)
+    return counts
+
+
+class TestTrainingLoop:
+    """One batch and one SGD step per iteration; no batch pulled past the
+    last iteration, since each pull builds triplets and runs the vocoder."""
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_pretrain(self, tiny_corpus, tmp_path, loop_calls, iterations):
+        manifest, _ = tiny_corpus
+        config = RunConfig(**{**vars(TINY), "ge2e_iterations": iterations})
+        pretrain_ge2e(manifest, config, tmp_path / "pre")
+        # GE2E utterances share one length: one forward and backward per step.
+        assert loop_calls == collections.Counter(
+            sgd_step=iterations, forward_batch=iterations, backward_batch=iterations)
+
+    @pytest.mark.parametrize("iterations", [0, 4])
+    def test_finetune(self, pretrained, tmp_path, loop_calls, iterations):
+        manifest, ckpt = pretrained
+        # Four batches cross the first epoch's three (12 utterances, 4 each).
+        config = RunConfig(**{**vars(TINY), "triplet_iterations": iterations})
+        finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        # Anchors and negatives share one length, tempo positives another.
+        assert loop_calls == collections.Counter(
+            batches=iterations, sgd_step=iterations,
+            forward_batch=2 * iterations, backward_batch=2 * iterations)
+
+
 class TestDecodeOnce:
     def test_evaluate_reads_each_file_once(self, staged, tmp_path, wav_reads):
         manifest, records, ckpt = staged
@@ -547,6 +606,27 @@ class TestCli:
                      "--out", str(tmp_path / "ev2"), "--hyp", str(hyp)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+
+    @pytest.mark.parametrize("argv,ini", [
+        ("synth-corpus --seed -1", ""),
+        ("pretrain --seed 3000000000 --manifest {manifest}", ""),
+        ("pretrain --manifest {manifest}", "[ge2e]\nn_speakers = 9\n"),
+        ("finetune --manifest {manifest} --checkpoint {ckpt}", "[audio]\nn_mels = 24\n"),
+        ("evaluate --manifest {manifest} --checkpoint {ckpt} --hyp {hyp}", ""),
+    ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
+            "hypothesis_count"])
+    def test_rejected_input_leaves_no_output(self, staged, tmp_path, capsys, argv, ini):
+        manifest, records, ckpt = staged
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("one line\n" * (len(records) + 1), encoding="utf-8")
+        config = tmp_path / "c.ini"
+        config.write_text(ini, encoding="utf-8")
+        out = tmp_path / "out"
+        args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp) for a in argv.split()]
+        assert main(args + ["--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
