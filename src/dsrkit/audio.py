@@ -6,10 +6,12 @@ sample array plus a sample rate. Files are restricted to RIFF/WAVE PCM,
 [-1, 1], scales by 32767 and rounds; reading divides by 32768.
 """
 
+import functools
 import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyInputError, FormatError, ParameterError, UnsupportedFormatError
 
@@ -167,6 +169,17 @@ def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int,
     return fb
 
 
+@functools.cache
+def _mel_analysis(n_mels: int, sample_rate: int, win_len: int):
+    """Read-only Hann window and mel filterbank of one log_mel geometry,
+    built once per process."""
+    window = np.hanning(win_len)
+    fb = mel_filterbank(n_mels, sample_rate, win_len)
+    window.flags.writeable = False
+    fb.flags.writeable = False
+    return window, fb
+
+
 def log_mel(buffer: AudioBuffer, n_mels: int, win_s: float, hop_s: float) -> MelFrames:
     """Log-mel features: Hann-windowed magnitude STFT through a mel filterbank.
 
@@ -185,11 +198,8 @@ def log_mel(buffer: AudioBuffer, n_mels: int, win_s: float, hop_s: float) -> Mel
         raise EmptyInputError(
             f"buffer of {len(x)} samples is shorter than one {win_len}-sample window"
         )
-    n_frames = (len(x) - win_len) // hop_len + 1
-    window = np.hanning(win_len)
-    idx = np.arange(win_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
-    spectra = np.abs(np.fft.rfft(x[idx] * window, axis=1))
-    fb = mel_filterbank(n_mels, buffer.sample_rate, win_len)
+    window, fb = _mel_analysis(n_mels, buffer.sample_rate, win_len)
+    spectra = np.abs(np.fft.rfft(sliding_window_view(x, win_len)[::hop_len] * window, axis=1))
     energies = spectra @ fb.T
-    frames = np.log(np.maximum(energies, np.exp(LOG_MEL_FLOOR)))
-    return MelFrames(frames)
+    np.maximum(energies, np.exp(LOG_MEL_FLOOR), out=energies)
+    return MelFrames(np.log(energies, out=energies))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .audio import VoiceSpec, log_mel, read_wav, synth_voice, write_wav
-from .augment import pitch_shift, tempo_change
+from .augment import MIN_SAMPLES, pitch_shift, tempo_change
 from .encoder import (
     EncoderConfig,
     add_grads,
@@ -31,6 +31,7 @@ from .encoder import (
     zero_grads,
 )
 from .errors import (
+    EmptyInputError,
     InsufficientBatchError,
     ManifestError,
     ParameterError,
@@ -518,6 +519,13 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
     """Triplet fine-tuning, backpropagating through all three branches."""
     records = load_manifest(manifest_path)
     utterances = load_utterances(records, config)
+    # Any clip can be drawn as an anchor, and every anchor is stretched.
+    for r, u in zip(records, utterances):
+        if len(u.buffer) < MIN_SAMPLES:
+            raise EmptyInputError(
+                f"{r.wav_path}: buffer of {len(u.buffer)} samples is too short "
+                f"to augment (need at least {MIN_SAMPLES})"
+            )
     profiles = profiles_from_records(records)
     params = load_checkpoint(base_checkpoint)
     if params.config.input_dim != config.n_mels:
@@ -580,7 +588,11 @@ def shifted_females(records, utterances, config: RunConfig) -> list:
             continue
         severity = r.severity if r.severity is not None else config.severity
         coeff = coeffs_for(severity).pitch_coeff
-        shifted.append(Utterance(r.speaker_id, pitch_shift(u.buffer, coeff),
+        try:
+            buf = pitch_shift(u.buffer, coeff)
+        except EmptyInputError as exc:
+            raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
+        shifted.append(Utterance(r.speaker_id, buf,
                                  utterance_id=f"{u.utterance_id}#pitch{coeff}"))
     return shifted
 

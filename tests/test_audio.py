@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsrkit.audio import (
+    LOG_MEL_FLOOR,
     AudioBuffer,
     VoiceSpec,
+    _mel_analysis,
     log_mel,
     mel_filterbank,
     read_wav,
@@ -260,6 +262,53 @@ class TestLogMel:
         a = log_mel(synth_voice(spec), n_mels=20, win_s=0.025, hop_s=0.010)
         b = log_mel(synth_voice(spec), n_mels=20, win_s=0.025, hop_s=0.010)
         assert a.frames.tobytes() == b.frames.tobytes()
+
+
+def reference_log_mel(buffer, n_mels, win_s, hop_s):
+    """Index-gather framing with the window and filterbank rebuilt per call,
+    as log_mel ran before its strided view and per-geometry cache."""
+    win_len = int(round(win_s * buffer.sample_rate))
+    hop_len = int(round(hop_s * buffer.sample_rate))
+    x = buffer.samples
+    n_frames = (len(x) - win_len) // hop_len + 1
+    idx = np.arange(win_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
+    spectra = np.abs(np.fft.rfft(x[idx] * np.hanning(win_len), axis=1))
+    energies = spectra @ mel_filterbank(n_mels, buffer.sample_rate, win_len).T
+    return np.log(np.maximum(energies, np.exp(LOG_MEL_FLOOR)))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestLogMelOracle:
+    """Strided framing and the cached window and filterbank against the
+    per-call reference, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sample_rate=st.sampled_from([8000, 16000, 22050]), n_mels=st.integers(1, 40),
+           seconds=st.floats(0.03, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_index_gather(self, sample_rate, n_mels, seconds, seed):
+        rng = np.random.default_rng(seed)
+        buf = AudioBuffer(rng.uniform(-1, 1, int(seconds * sample_rate)), sample_rate)
+        assert_same_bits(log_mel(buf, n_mels, 0.025, 0.010).frames,
+                         reference_log_mel(buf, n_mels, 0.025, 0.010))
+
+    def test_alternating_geometries_use_their_own_cache_entry(self):
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            for n_mels, sample_rate in ((20, 16000), (40, 8000)):
+                buf = AudioBuffer(rng.uniform(-1, 1, sample_rate), sample_rate)
+                assert_same_bits(log_mel(buf, n_mels, 0.025, 0.010).frames,
+                                 reference_log_mel(buf, n_mels, 0.025, 0.010))
+        for n_mels, sample_rate, win_len in ((20, 16000, 400), (40, 8000, 200)):
+            window, fb = _mel_analysis(n_mels, sample_rate, win_len)
+            assert fb.shape == (n_mels, win_len // 2 + 1)
+            for cached in (window, fb):
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 0.0
 
 
 class TestBufferValidation:

@@ -13,6 +13,7 @@ from dsrkit.audio import AudioBuffer, VoiceSpec, read_wav, synth_voice, write_wa
 from dsrkit.cli import main
 from dsrkit.encoder import init_params, load_checkpoint
 from dsrkit.errors import (
+    EmptyInputError,
     InsufficientBatchError,
     ManifestError,
     ParameterError,
@@ -352,6 +353,32 @@ def staged(tiny_corpus, pretrained):
     return manifest, records, ckpt
 
 
+@pytest.fixture
+def short_manifest(tiny_corpus, tmp_path):
+    """The tiny corpus cut to 0.1 s clips, too short for the phase vocoder."""
+    _, records = tiny_corpus
+    short = []
+    for i, r in enumerate(records):
+        wav = tmp_path / f"short{i}.wav"
+        write_wav(AudioBuffer(read_wav(r.wav_path).samples[:1600]), wav)
+        short.append(dataclasses.replace(r, wav_path=str(wav)))
+    return write_manifest(short, tmp_path / "short.tsv")
+
+
+class TestShortClips:
+    def test_finetune_names_first_short_file(self, short_manifest, staged, tmp_path):
+        _, _, ckpt = staged
+        with pytest.raises(EmptyInputError, match=r"short0\.wav: buffer of 1600 samples"):
+            finetune_triplet(short_manifest, ckpt, TINY, tmp_path / "ft")
+        assert not (tmp_path / "ft").exists()
+
+    def test_evaluate_names_short_female_file(self, short_manifest, staged, tmp_path):
+        _, _, ckpt = staged
+        with pytest.raises(EmptyInputError, match=r"short0\.wav: buffer of 1600 samples"):
+            evaluate(short_manifest, ckpt, TINY, tmp_path / "ev")
+        assert not (tmp_path / "ev").exists()
+
+
 class TestEvaluate:
     def test_report_contents(self, staged, tmp_path):
         manifest, records, ckpt = staged
@@ -613,16 +640,19 @@ class TestCli:
         ("pretrain --manifest {manifest}", "[ge2e]\nn_speakers = 9\n"),
         ("finetune --manifest {manifest} --checkpoint {ckpt}", "[audio]\nn_mels = 24\n"),
         ("evaluate --manifest {manifest} --checkpoint {ckpt} --hyp {hyp}", ""),
+        ("finetune --manifest {short} --checkpoint {ckpt}", ""),
     ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
-            "hypothesis_count"])
-    def test_rejected_input_leaves_no_output(self, staged, tmp_path, capsys, argv, ini):
+            "hypothesis_count", "short_clips"])
+    def test_rejected_input_leaves_no_output(self, staged, short_manifest, tmp_path,
+                                             capsys, argv, ini):
         manifest, records, ckpt = staged
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("one line\n" * (len(records) + 1), encoding="utf-8")
         config = tmp_path / "c.ini"
         config.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
-        args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp) for a in argv.split()]
+        args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp, short=short_manifest)
+                for a in argv.split()]
         assert main(args + ["--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
