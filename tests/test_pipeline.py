@@ -370,7 +370,6 @@ class TestShortClips:
         _, _, ckpt = staged
         with pytest.raises(EmptyInputError, match=r"short0\.wav: buffer of 1600 samples"):
             finetune_triplet(short_manifest, ckpt, TINY, tmp_path / "ft")
-        assert not (tmp_path / "ft").exists()
 
     def test_evaluate_names_short_female_file(self, short_manifest, staged, tmp_path):
         _, _, ckpt = staged
