@@ -16,6 +16,13 @@ pre-activation gradients into one (T, 4H, B) buffer and forms the weight
 gradients, and the input gradients of the layer below, after the loop.
 This is the RNN restructuring of Appleyard et al. 2016 (arXiv:1604.01946).
 
+Zero rows: a batch row whose upstream gradient is all zero contributes
+exactly zero to every parameter gradient, so the backward pass runs only
+over the live columns, gathering each step's trace blocks at them. A
+satisfied triplet (FaceNet's hinge, Schroff et al. 2015) gives all three
+of its rows a zero gradient. When every row is live the gather is the
+identity and the pass runs the full-batch operations unchanged.
+
 Checkpoint layout (version 1, all little-endian):
   magic "DSRK" | version int32 | n_layers, hidden_dim, embed_dim,
   input_dim, seed as int32 | then per tensor, in the fixed order
@@ -202,20 +209,36 @@ def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
 
 def backward_batch(params: EncoderParams, trace: BatchTrace,
                    grad_out: np.ndarray) -> dict:
-    """Gradients of sum_b grad_out[b] . embedding[b], summed over the batch."""
+    """Gradients of sum_b grad_out[b] . embedding[b], summed over the batch.
+
+    Only the live columns (rows of grad_out with a nonzero entry) are
+    backpropagated; a dead column's contribution is exactly zero.
+    """
     cfg = params.config
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    B, T = trace.stack.shape[:2]
+    T = trace.stack.shape[1]
     H = cfg.hidden_dim
     if grad_out.shape != trace.embeddings.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != embeddings {trace.embeddings.shape}"
         )
-    e = trace.embeddings
+    live = np.flatnonzero(np.any(grad_out != 0.0, axis=1))
+    if len(live) == len(grad_out):
+        live = slice(None)  # every column: views, the full-batch operations
+
+        def cols(a):
+            return a
+    else:
+        grad_out = grad_out[live]
+
+        def cols(a):  # the live columns of one step's (features, B) block
+            return np.take(a, live, axis=1)
+    B = len(grad_out)
+    e = trace.embeddings[live]
     # Through L2 normalization: radial component of the upstream grad dies.
-    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / trace.norms[:, None]
+    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / trace.norms[live, None]
     grads = {}
-    top = trace.hs[-1][-1].T
+    top = trace.hs[-1][-1].T[live]
     grads["proj.w"] = dv.T @ top
     grads["proj.b"] = dv.sum(axis=0)
     # Gate derivative (1 - x) * (x + shift): sigmoid' = s (1 - s) on the
@@ -242,7 +265,7 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
                 np.matmul(wh_t, da[t + 1], out=dh)
                 if dh_seq is not None:
                     dh += dh_seq[t]
-            gate, tc, d = gates[t], tanh_cs[t], da[t]
+            gate, tc, d = cols(gates[t]), cols(tanh_cs[t]), da[t]
             # dc = f_{t+1} dc_{t+1} + dh o (1 - tanh(c)^2); d[3H:] is scratch
             # until it receives do.
             np.multiply(tc, tc, out=d[3 * H:])
@@ -251,7 +274,7 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
             tmp *= d[3 * H:]
             dc += tmp
             np.multiply(dc, gate[2 * H:3 * H], out=d[:H])
-            np.multiply(dc, c_prevs[t], out=d[H:2 * H])
+            np.multiply(dc, cols(c_prevs[t]), out=d[H:2 * H])
             np.multiply(dc, gate[:H], out=d[2 * H:3 * H])
             np.multiply(dh, tc, out=d[3 * H:])
             np.add(gate, shift, out=tmp4)
@@ -264,9 +287,9 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
         dwx = np.zeros_like(wx)
         dwh = np.zeros((4 * H, H))
         for t in reversed(range(T)):
-            dwx += da[t] @ x[t].T
+            dwx += da[t] @ cols(x[t]).T
             if t:
-                dwh += da[t] @ hs[t - 1].T
+                dwh += da[t] @ cols(hs[t - 1]).T
         grads[f"lstm{layer}.w_x"] = dwx
         grads[f"lstm{layer}.w_h"] = dwh
         grads[f"lstm{layer}.b"] = da.sum(axis=0).sum(axis=1)

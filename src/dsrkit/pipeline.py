@@ -325,7 +325,9 @@ def profiles_from_records(records) -> dict:
 
 def load_utterances(records, config: RunConfig) -> list:
     """Decode each record's WAV; its rate must be config.sample_rate, which
-    the mel window, hop and filterbank are defined against."""
+    the mel window, hop and filterbank are defined against, and it must
+    hold at least one mel window."""
+    win_len = round(config.win_s * config.sample_rate)
     utterances = []
     for r in records:
         buf = read_wav(r.wav_path)
@@ -333,6 +335,11 @@ def load_utterances(records, config: RunConfig) -> list:
             raise ValidationError(
                 f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
                 f"config sample_rate {config.sample_rate} Hz"
+            )
+        if len(buf) < win_len:
+            raise EmptyInputError(
+                f"{r.wav_path}: buffer of {len(buf)} samples is shorter than "
+                f"one {win_len}-sample mel window"
             )
         utterances.append(Utterance(r.speaker_id, buf,
                                     utterance_id=r.wav_path,
@@ -395,8 +402,10 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
 def augment_file(in_path, out_path, pitch_coeff: float, tempo_coeff: float) -> Path:
     """Apply pitch shift then tempo change to one wav file."""
     buf = read_wav(in_path)
-    buf = pitch_shift(buf, pitch_coeff)
-    buf = tempo_change(buf, tempo_coeff)
+    try:
+        buf = tempo_change(pitch_shift(buf, pitch_coeff), tempo_coeff)
+    except EmptyInputError as exc:
+        raise EmptyInputError(f"{in_path}: {exc}") from exc
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_wav(buf, out_path)
@@ -416,10 +425,12 @@ def mel_for(utt: Utterance, config: RunConfig, cache: dict):
 
 
 def _grouped_forward(params, mels):
-    """Encode a mixed-length list by grouping equal frame counts.
+    """Encode a mixed-length list by grouping equal frame counts, each
+    distinct mel object once (mel_for returns one object per utterance).
 
     Returns (embeddings row-aligned with mels, groups) where groups maps
-    frame count -> (row indices, trace) for the matching backward pass.
+    frame count -> (row indices, encoded index of each row, trace) for the
+    matching backward pass; the index is None when no row repeats.
     """
     by_len = {}
     for row, m in enumerate(mels):
@@ -428,18 +439,29 @@ def _grouped_forward(params, mels):
     groups = {}
     for n_frames in sorted(by_len):
         rows = by_len[n_frames]
-        stack = np.stack([mels[r].frames for r in rows])
-        trace = forward_batch(params, stack)
-        embeddings[rows] = trace.embeddings
-        groups[n_frames] = (rows, trace)
+        distinct = {}  # id of each distinct mel -> (its row in the stack, mel)
+        index = [distinct.setdefault(id(mels[r]), (len(distinct), mels[r]))[0]
+                 for r in rows]
+        trace = forward_batch(params, np.stack([m.frames for _, m in distinct.values()]))
+        if len(distinct) == len(rows):
+            index = None
+        embeddings[rows] = trace.embeddings if index is None else trace.embeddings[index]
+        groups[n_frames] = (rows, index, trace)
     return embeddings, groups
 
 
 def _grouped_backward(params, groups, grad_out):
+    """Parameter gradients of sum_row grad_out[row] . embedding[row]; a
+    repeated mel's rows are summed, in row order, into its encoded row."""
     total = zero_grads(params)
     for n_frames in sorted(groups):
-        rows, trace = groups[n_frames]
-        add_grads(total, backward_batch(params, trace, grad_out[rows]))
+        rows, index, trace = groups[n_frames]
+        if index is None:
+            g = grad_out[rows]
+        else:
+            g = np.zeros(trace.embeddings.shape)
+            np.add.at(g, index, grad_out[rows])
+        add_grads(total, backward_batch(params, trace, g))
     return total
 
 

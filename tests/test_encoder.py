@@ -157,6 +157,70 @@ def reference_backward(params, forward, grad_out):
     return grads
 
 
+def columnfree_backward(params, trace, grad_out):
+    """backward_batch as it was before it skipped zero rows: every column of
+    every step, no gather. Kept as the bit-for-bit oracle of a fully live
+    batch."""
+    cfg = params.config
+    B, T = trace.stack.shape[:2]
+    H = cfg.hidden_dim
+    e = trace.embeddings
+    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / trace.norms[:, None]
+    top = trace.hs[-1][-1].T
+    grads = {"proj.w": dv.T @ top, "proj.b": dv.sum(axis=0)}
+    shift = np.zeros((4 * H, B))
+    shift[2 * H:3 * H] = 1.0
+    da = np.empty((T, 4 * H, B))
+    dh_seq = None
+    dh_top = (dv @ params.tensors["proj.w"]).T
+    dc = np.empty((H, B))
+    dh = np.empty((H, B))
+    tmp = np.empty((H, B))
+    tmp4 = np.empty((4 * H, B))
+    for layer in reversed(range(cfg.n_layers)):
+        wx = params.tensors[f"lstm{layer}.w_x"]
+        wh_t = params.tensors[f"lstm{layer}.w_h"].T
+        gates = trace.gates[layer]
+        c_prevs = trace.c_prevs[layer]
+        tanh_cs = trace.tanh_cs[layer]
+        dc[:] = 0.0
+        dh[:] = dh_top if dh_seq is None else dh_seq[-1]
+        for t in reversed(range(T)):
+            if t < T - 1:
+                np.matmul(wh_t, da[t + 1], out=dh)
+                if dh_seq is not None:
+                    dh += dh_seq[t]
+            gate, tc, d = gates[t], tanh_cs[t], da[t]
+            np.multiply(tc, tc, out=d[3 * H:])
+            np.subtract(1.0, d[3 * H:], out=d[3 * H:])
+            np.multiply(dh, gate[3 * H:], out=tmp)
+            tmp *= d[3 * H:]
+            dc += tmp
+            np.multiply(dc, gate[2 * H:3 * H], out=d[:H])
+            np.multiply(dc, c_prevs[t], out=d[H:2 * H])
+            np.multiply(dc, gate[:H], out=d[2 * H:3 * H])
+            np.multiply(dh, tc, out=d[3 * H:])
+            np.add(gate, shift, out=tmp4)
+            d *= tmp4
+            np.subtract(1.0, gate, out=tmp4)
+            d *= tmp4
+            dc *= gate[H:2 * H]
+        x = trace.layer_inputs[layer]
+        hs = trace.hs[layer]
+        dwx = np.zeros_like(wx)
+        dwh = np.zeros((4 * H, H))
+        for t in reversed(range(T)):
+            dwx += da[t] @ x[t].T
+            if t:
+                dwh += da[t] @ hs[t - 1].T
+        grads[f"lstm{layer}.w_x"] = dwx
+        grads[f"lstm{layer}.w_h"] = dwh
+        grads[f"lstm{layer}.b"] = da.sum(axis=0).sum(axis=1)
+        if layer:
+            dh_seq = np.matmul(wx.T, da)
+    return grads
+
+
 def max_rel_error(analytic, approx):
     worst = 0.0
     for name in analytic:
@@ -265,6 +329,38 @@ class TestReferenceOracle:
         if frames == 1:
             npt.assert_array_equal(grads["lstm0.w_h"], 0.0)
             npt.assert_array_equal(grads["lstm1.w_h"], 0.0)
+
+    @pytest.mark.parametrize("batch,frames,n_live", [(128, 98, 34), (96, 98, 25),
+                                                     (64, 198, 1), (16, 98, 15),
+                                                     (3, 1, 2)])
+    def test_zero_rows_match_reference_on_live_rows(self, batch, frames, n_live):
+        params = init_params(EncoderConfig(seed=batch + frames + n_live))
+        rng = np.random.default_rng(batch + n_live)
+        stack = rng.normal(size=(batch, frames, params.config.input_dim))
+        live = np.sort(rng.choice(batch, size=n_live, replace=False))
+        g = np.zeros((batch, params.config.embed_dim))
+        g[live] = rng.normal(size=(n_live, params.config.embed_dim))
+        grads = backward_batch(params, forward_batch(params, stack), g)
+        reference = reference_backward(params, reference_forward(params, stack[live]),
+                                       g[live])
+        assert list(grads) == list(reference)
+        for name, want in reference.items():
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("batch,frames", [(16, 98), (64, 198), (3, 1)])
+    def test_fully_live_batch_is_bit_identical_to_columnfree_pass(self, batch, frames):
+        params = init_params(EncoderConfig(seed=batch * frames))
+        rng = np.random.default_rng(batch)
+        stack = rng.normal(size=(batch, frames, params.config.input_dim))
+        g = rng.normal(size=(batch, params.config.embed_dim))
+        g[0, 1:] = 0.0  # a row with one nonzero entry is live
+        trace = forward_batch(params, stack)
+        grads = backward_batch(params, trace, g)
+        want = columnfree_backward(params, trace, g)
+        assert list(grads) == list(want)
+        for name in want:
+            assert np.array_equal(grads[name].view(np.int64), want[name].view(np.int64)), name
 
 
 class TestBatching:

@@ -9,9 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsrkit.pipeline
-from dsrkit.audio import AudioBuffer, VoiceSpec, read_wav, synth_voice, write_wav
+from dsrkit.audio import (
+    AudioBuffer,
+    MelFrames,
+    VoiceSpec,
+    read_wav,
+    synth_voice,
+    write_wav,
+)
 from dsrkit.cli import main
-from dsrkit.encoder import init_params, load_checkpoint
+from dsrkit.encoder import (
+    add_grads,
+    backward_batch,
+    forward_batch,
+    init_params,
+    load_checkpoint,
+    zero_grads,
+)
 from dsrkit.errors import (
     EmptyInputError,
     InsufficientBatchError,
@@ -22,6 +36,8 @@ from dsrkit.errors import (
 )
 from dsrkit.pipeline import (
     ManifestRecord,
+    _grouped_backward,
+    _grouped_forward,
     RunConfig,
     corpus_wer,
     embed_utterances,
@@ -365,7 +381,21 @@ def short_manifest(tiny_corpus, tmp_path):
     return write_manifest(short, tmp_path / "short.tsv")
 
 
+@pytest.fixture(scope="module")
+def blip_manifest(tmp_path_factory):
+    """A corpus of 0.02 s clips: 320 samples, shorter than one mel window."""
+    config = RunConfig(**{**vars(TINY), "duration_s": 0.02})
+    return synth_corpus(config, tmp_path_factory.mktemp("blips"))
+
+
 class TestShortClips:
+    def test_pretrain_names_clip_shorter_than_a_mel_window(self, blip_manifest,
+                                                            tmp_path):
+        with pytest.raises(EmptyInputError,
+                           match=r"f01-00\.wav: buffer of 320 samples .* 400-sample"):
+            pretrain_ge2e(blip_manifest, TINY, tmp_path / "pre")
+        assert not (tmp_path / "pre").exists()
+
     def test_finetune_names_first_short_file(self, short_manifest, staged, tmp_path):
         _, _, ckpt = staged
         with pytest.raises(EmptyInputError, match=r"short0\.wav: buffer of 1600 samples"):
@@ -517,6 +547,71 @@ class TestTrainingLoop:
             forward_batch=2 * iterations, backward_batch=2 * iterations)
 
 
+    def test_finetune_encodes_each_distinct_utterance_once(self, pretrained,
+                                                           tiny_corpus, tmp_path,
+                                                           monkeypatch):
+        manifest, ckpt = pretrained
+        # One batch holds every utterance, so each male anchor's
+        # cross-speaker negative is also one of the batch's anchors.
+        config = RunConfig(**{**vars(TINY), "batch_size": len(tiny_corpus[1]),
+                              "triplet_iterations": 3})
+        distinct, forwarded = [], []
+        iter_batches = dsrkit.pipeline.iter_batches
+        forward_batch = dsrkit.pipeline.forward_batch
+
+        def recording_batches(*args, **kwargs):
+            for batch in iter_batches(*args, **kwargs):
+                distinct.append(len({u.utterance_id for t in batch
+                                     for u in (t.anchor, t.positive, t.negative)}))
+                forwarded.append(0)
+                yield batch
+
+        def counting_forward(params, stack):
+            forwarded[-1] += len(stack)
+            return forward_batch(params, stack)
+
+        monkeypatch.setattr(dsrkit.pipeline, "iter_batches", recording_batches)
+        monkeypatch.setattr(dsrkit.pipeline, "forward_batch", counting_forward)
+        finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        # 12 anchors, 12 tempo positives, 6 female pitch-shifted negatives.
+        assert forwarded == distinct == [30] * 3
+
+
+class TestGroupedEncoding:
+    """Encoding each distinct mel once and summing its rows' gradients
+    against a per-row forward and backward, summed in row order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_encoding(self, data):
+        params = init_params(TINY.encoder_config())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        distinct = [MelFrames(rng.normal(size=(n_frames, TINY.n_mels)))
+                    for n_frames in data.draw(st.lists(st.sampled_from([98, 198]),
+                                                       min_size=1, max_size=5))]
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                   min_size=1, max_size=10))
+        mels = [distinct[p] for p in picks]
+        grad_out = rng.normal(size=(len(mels), TINY.embed_dim))
+        dead = data.draw(st.one_of(st.just([True] * len(mels)),
+                                   st.lists(st.booleans(), min_size=len(mels),
+                                            max_size=len(mels))))
+        grad_out[dead] = 0.0
+        embeddings, groups = _grouped_forward(params, mels)
+        grads = _grouped_backward(params, groups, grad_out)
+        expected = zero_grads(params)
+        for row, (m, g) in enumerate(zip(mels, grad_out)):
+            trace = forward_batch(params, m.frames[None])
+            assert np.max(np.abs(embeddings[row] - trace.embeddings[0])) <= 1e-12
+            add_grads(expected, backward_batch(params, trace, g[None]))
+        assert list(grads) == list(expected)
+        for name, want in expected.items():
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
+        if all(dead):
+            for g in grads.values():
+                assert not np.any(g)
+
+
 class TestDecodeOnce:
     def test_evaluate_reads_each_file_once(self, staged, tmp_path, wav_reads):
         manifest, records, ckpt = staged
@@ -579,6 +674,16 @@ class TestCli:
         assert abs(peak - 165.0) <= 3.0
         assert (tmp_path / "shifted.wav.run.json").is_file()
 
+    def test_augment_short_clip_names_file(self, tmp_path, capsys):
+        src = tmp_path / "blip.wav"
+        t = np.arange(1600) / 16000  # 0.1 s, too short for the phase vocoder
+        write_wav(AudioBuffer(0.5 * np.sin(2 * np.pi * 220.0 * t)), src)
+        assert main(["augment", "--in", str(src), "--out", str(tmp_path / "o.wav"),
+                     "--pitch-coeff", "0.5"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {src}: buffer of 1600 samples")
+
     def test_full_chain_via_cli(self, tmp_path, capsys):
         ini = tmp_path / "chain.ini"
         ini.write_text(
@@ -640,17 +745,19 @@ class TestCli:
         ("finetune --manifest {manifest} --checkpoint {ckpt}", "[audio]\nn_mels = 24\n"),
         ("evaluate --manifest {manifest} --checkpoint {ckpt} --hyp {hyp}", ""),
         ("finetune --manifest {short} --checkpoint {ckpt}", ""),
+        ("pretrain --manifest {blip}", "[ge2e]\nn_speakers = 2\nm_utterances = 2\n"),
     ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
-            "hypothesis_count", "short_clips"])
-    def test_rejected_input_leaves_no_output(self, staged, short_manifest, tmp_path,
-                                             capsys, argv, ini):
+            "hypothesis_count", "short_clips", "clips_under_one_window"])
+    def test_rejected_input_leaves_no_output(self, staged, short_manifest, blip_manifest,
+                                             tmp_path, capsys, argv, ini):
         manifest, records, ckpt = staged
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("one line\n" * (len(records) + 1), encoding="utf-8")
         config = tmp_path / "c.ini"
         config.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
-        args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp, short=short_manifest)
+        args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp, short=short_manifest,
+                         blip=blip_manifest)
                 for a in argv.split()]
         assert main(args + ["--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
