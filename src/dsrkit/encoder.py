@@ -234,9 +234,9 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
         def cols(a):  # the live columns of one step's (features, B) block
             return np.take(a, live, axis=1)
     B = len(grad_out)
-    e = trace.embeddings[live]
+    e, norms = trace.embeddings[live], trace.norms[live]
     # Through L2 normalization: radial component of the upstream grad dies.
-    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / trace.norms[live, None]
+    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / norms[:, None]
     grads = {}
     top = trace.hs[-1][-1].T[live]
     grads["proj.w"] = dv.T @ top

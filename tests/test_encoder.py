@@ -360,7 +360,8 @@ class TestReferenceOracle:
         want = columnfree_backward(params, trace, g)
         assert list(grads) == list(want)
         for name in want:
-            assert np.array_equal(grads[name].view(np.int64), want[name].view(np.int64)), name
+            assert np.array_equal(grads[name].view(np.int64),
+                                  want[name].view(np.int64)), name
 
 
 class TestBatching:

@@ -605,11 +605,9 @@ class TestGroupedEncoding:
             assert np.max(np.abs(embeddings[row] - trace.embeddings[0])) <= 1e-12
             add_grads(expected, backward_batch(params, trace, g[None]))
         assert list(grads) == list(expected)
+        # With every row dead the bound is 0: the gradients must be exact zeros.
         for name, want in expected.items():
             assert np.max(np.abs(grads[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
-        if all(dead):
-            for g in grads.values():
-                assert not np.any(g)
 
 
 class TestDecodeOnce:
