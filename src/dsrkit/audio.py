@@ -180,6 +180,18 @@ def _mel_analysis(n_mels: int, sample_rate: int, win_len: int):
     return window, fb
 
 
+def mel_window_length(buffer: AudioBuffer, win_s: float) -> int:
+    """Samples in one mel window, round(win_s * sample_rate); raises
+    EmptyInputError when buffer holds fewer."""
+    win_len = int(round(win_s * buffer.sample_rate))
+    if len(buffer) < win_len:
+        raise EmptyInputError(
+            f"buffer of {len(buffer)} samples is shorter than one "
+            f"{win_len}-sample mel window"
+        )
+    return win_len
+
+
 def log_mel(buffer: AudioBuffer, n_mels: int, win_s: float, hop_s: float) -> MelFrames:
     """Log-mel features: Hann-windowed magnitude STFT through a mel filterbank.
 
@@ -189,15 +201,11 @@ def log_mel(buffer: AudioBuffer, n_mels: int, win_s: float, hop_s: float) -> Mel
     """
     if n_mels < 1:
         raise ParameterError("n_mels must be at least 1")
-    win_len = int(round(win_s * buffer.sample_rate))
+    win_len = mel_window_length(buffer, win_s)
     hop_len = int(round(hop_s * buffer.sample_rate))
     if win_len < 1 or hop_len < 1:
         raise ParameterError("window and hop must be at least one sample")
     x = buffer.samples
-    if len(x) < win_len:
-        raise EmptyInputError(
-            f"buffer of {len(x)} samples is shorter than one {win_len}-sample window"
-        )
     window, fb = _mel_analysis(n_mels, buffer.sample_rate, win_len)
     spectra = np.abs(np.fft.rfft(sliding_window_view(x, win_len)[::hop_len] * window, axis=1))
     energies = spectra @ fb.T

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import VoiceSpec, log_mel, read_wav, synth_voice, write_wav
+from .audio import VoiceSpec, log_mel, mel_window_length, read_wav, synth_voice, write_wav
 from .augment import MIN_SAMPLES, pitch_shift, tempo_change
 from .encoder import (
     EncoderConfig,
@@ -327,7 +327,6 @@ def load_utterances(records, config: RunConfig) -> list:
     """Decode each record's WAV; its rate must be config.sample_rate, which
     the mel window, hop and filterbank are defined against, and it must
     hold at least one mel window."""
-    win_len = round(config.win_s * config.sample_rate)
     utterances = []
     for r in records:
         buf = read_wav(r.wav_path)
@@ -336,11 +335,10 @@ def load_utterances(records, config: RunConfig) -> list:
                 f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
                 f"config sample_rate {config.sample_rate} Hz"
             )
-        if len(buf) < win_len:
-            raise EmptyInputError(
-                f"{r.wav_path}: buffer of {len(buf)} samples is shorter than "
-                f"one {win_len}-sample mel window"
-            )
+        try:
+            mel_window_length(buf, config.win_s)
+        except EmptyInputError as exc:
+            raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
         utterances.append(Utterance(r.speaker_id, buf,
                                     utterance_id=r.wav_path,
                                     transcript=r.transcript))
@@ -430,7 +428,7 @@ def _grouped_forward(params, mels):
 
     Returns (embeddings row-aligned with mels, groups) where groups maps
     frame count -> (row indices, encoded index of each row, trace) for the
-    matching backward pass; the index is None when no row repeats.
+    matching backward pass.
     """
     by_len = {}
     for row, m in enumerate(mels):
@@ -443,9 +441,7 @@ def _grouped_forward(params, mels):
         index = [distinct.setdefault(id(mels[r]), (len(distinct), mels[r]))[0]
                  for r in rows]
         trace = forward_batch(params, np.stack([m.frames for _, m in distinct.values()]))
-        if len(distinct) == len(rows):
-            index = None
-        embeddings[rows] = trace.embeddings if index is None else trace.embeddings[index]
+        embeddings[rows] = trace.embeddings[index]
         groups[n_frames] = (rows, index, trace)
     return embeddings, groups
 
@@ -456,11 +452,8 @@ def _grouped_backward(params, groups, grad_out):
     total = zero_grads(params)
     for n_frames in sorted(groups):
         rows, index, trace = groups[n_frames]
-        if index is None:
-            g = grad_out[rows]
-        else:
-            g = np.zeros(trace.embeddings.shape)
-            np.add.at(g, index, grad_out[rows])
+        g = np.zeros(trace.embeddings.shape)
+        np.add.at(g, index, grad_out[rows])
         add_grads(total, backward_batch(params, trace, g))
     return total
 
