@@ -9,8 +9,9 @@ config so reruns can be checked byte for byte.
 """
 
 import json
+import math
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -72,38 +73,49 @@ VOCAB = ("the", "north", "wind", "sun", "rain", "bright", "river",
 # Run configuration
 
 
+def _ini(section: str, default):
+    """A RunConfig field read from INI ``[section]``, under the field name
+    without its ``section_`` prefix."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    sample_rate: int = 16000
-    n_mels: int = 20
-    win_s: float = 0.025
-    hop_s: float = 0.010
-    n_layers: int = 2
-    hidden_dim: int = 32
-    embed_dim: int = 16
-    ge2e_n_speakers: int = 4
-    ge2e_m_utterances: int = 4
-    ge2e_iterations: int = 300
-    ge2e_lr: float = 0.05
-    ge2e_clip: float = 3.0
-    ge2e_scale_lr: float = 0.01
-    alpha: float = 0.3
-    batch_size: int = 64
-    triplet_iterations: int = 300
-    triplet_lr: float = 0.02
-    triplet_clip: float = 3.0
-    corpus_speakers: int = 8
-    utterances_per_speaker: int = 10
-    duration_s: float = 1.0
-    severity: str = "moderate_severe"
-    female_f0_min: float = 180.0
-    female_f0_max: float = 260.0
-    male_f0_min: float = 90.0
-    male_f0_max: float = 150.0
-    seed: int = 0
-    holdout_per_speaker: int = 2
+    sample_rate: int = _ini("audio", 16000)
+    n_mels: int = _ini("audio", 20)
+    win_s: float = _ini("audio", 0.025)
+    hop_s: float = _ini("audio", 0.010)
+    n_layers: int = _ini("encoder", 2)
+    hidden_dim: int = _ini("encoder", 32)
+    embed_dim: int = _ini("encoder", 16)
+    ge2e_n_speakers: int = _ini("ge2e", 4)
+    ge2e_m_utterances: int = _ini("ge2e", 4)
+    ge2e_iterations: int = _ini("ge2e", 300)
+    ge2e_lr: float = _ini("ge2e", 0.05)
+    ge2e_clip: float = _ini("ge2e", 3.0)
+    ge2e_scale_lr: float = _ini("ge2e", 0.01)
+    alpha: float = _ini("triplet", 0.3)
+    batch_size: int = _ini("triplet", 64)
+    triplet_iterations: int = _ini("triplet", 300)
+    triplet_lr: float = _ini("triplet", 0.02)
+    triplet_clip: float = _ini("triplet", 3.0)
+    # The one key that is not the field name without its section prefix.
+    corpus_speakers: int = field(default=8,
+                                 metadata={"section": "corpus", "key": "n_speakers"})
+    utterances_per_speaker: int = _ini("corpus", 10)
+    duration_s: float = _ini("corpus", 1.0)
+    severity: str = _ini("corpus", "moderate_severe")
+    female_f0_min: float = _ini("corpus", FEMALE_F0_RANGE[0])
+    female_f0_max: float = _ini("corpus", FEMALE_F0_RANGE[1])
+    male_f0_min: float = _ini("corpus", MALE_F0_RANGE[0])
+    male_f0_max: float = _ini("corpus", MALE_F0_RANGE[1])
+    seed: int = _ini("run", 0)
+    holdout_per_speaker: int = _ini("run", 2)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"config field {f.name} must be finite")
         positive = ("sample_rate", "n_mels", "win_s", "hop_s", "n_layers",
                     "hidden_dim", "embed_dim", "ge2e_n_speakers",
                     "ge2e_m_utterances", "ge2e_lr", "ge2e_clip", "ge2e_scale_lr",
@@ -112,11 +124,10 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"config field {name} must be positive")
-        for name in ("ge2e_iterations", "triplet_iterations", "holdout_per_speaker"):
+        for name in ("alpha", "ge2e_iterations", "triplet_iterations",
+                     "holdout_per_speaker"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"config field {name} must be nonnegative")
-        if self.alpha < 0:
-            raise ValidationError("alpha must be nonnegative")
         # numpy seeds must be >= 0; the checkpoint header stores an int32.
         if not 0 <= self.seed <= 2**31 - 1:
             raise ValidationError(f"seed {self.seed} outside [0, 2**31 - 1]")
@@ -138,37 +149,13 @@ class RunConfig:
                              self.n_mels, self.seed)
 
 
-# (section, key) -> (RunConfig field, parser)
-_CONFIG_KEYS = {
-    ("audio", "sample_rate"): ("sample_rate", int),
-    ("audio", "n_mels"): ("n_mels", int),
-    ("audio", "win_s"): ("win_s", float),
-    ("audio", "hop_s"): ("hop_s", float),
-    ("encoder", "n_layers"): ("n_layers", int),
-    ("encoder", "hidden_dim"): ("hidden_dim", int),
-    ("encoder", "embed_dim"): ("embed_dim", int),
-    ("ge2e", "n_speakers"): ("ge2e_n_speakers", int),
-    ("ge2e", "m_utterances"): ("ge2e_m_utterances", int),
-    ("ge2e", "iterations"): ("ge2e_iterations", int),
-    ("ge2e", "lr"): ("ge2e_lr", float),
-    ("ge2e", "clip"): ("ge2e_clip", float),
-    ("ge2e", "scale_lr"): ("ge2e_scale_lr", float),
-    ("triplet", "alpha"): ("alpha", float),
-    ("triplet", "batch_size"): ("batch_size", int),
-    ("triplet", "iterations"): ("triplet_iterations", int),
-    ("triplet", "lr"): ("triplet_lr", float),
-    ("triplet", "clip"): ("triplet_clip", float),
-    ("corpus", "n_speakers"): ("corpus_speakers", int),
-    ("corpus", "utterances_per_speaker"): ("utterances_per_speaker", int),
-    ("corpus", "duration_s"): ("duration_s", float),
-    ("corpus", "severity"): ("severity", str),
-    ("corpus", "female_f0_min"): ("female_f0_min", float),
-    ("corpus", "female_f0_max"): ("female_f0_max", float),
-    ("corpus", "male_f0_min"): ("male_f0_min", float),
-    ("corpus", "male_f0_max"): ("male_f0_max", float),
-    ("run", "seed"): ("seed", int),
-    ("run", "holdout_per_speaker"): ("holdout_per_speaker", int),
-}
+def _ini_key(f) -> tuple:
+    """(section, key) under which the INI file sets RunConfig field f."""
+    section = f.metadata["section"]
+    return section, f.metadata.get("key", f.name.removeprefix(section + "_"))
+
+
+_INI_FIELDS = {_ini_key(f): f for f in fields(RunConfig)}
 
 
 def load_config(path=None, seed=None) -> RunConfig:
@@ -178,7 +165,7 @@ def load_config(path=None, seed=None) -> RunConfig:
     entries are rejected rather than merged into every section. A seed
     given here (e.g. from the command line) overrides the file.
     """
-    fields = {}
+    values = {}
     if path is not None:
         parser = ConfigParser(interpolation=None)
         try:
@@ -195,19 +182,18 @@ def load_config(path=None, seed=None) -> RunConfig:
             )
         for section in parser.sections():
             for key, raw in parser.items(section):
-                spec = _CONFIG_KEYS.get((section, key))
-                if spec is None:
+                f = _INI_FIELDS.get((section, key))
+                if f is None:
                     raise ValidationError(f"{path}: unknown config key [{section}] {key}")
-                name, cast = spec
                 try:
-                    fields[name] = cast(raw)
+                    values[f.name] = f.type(raw)
                 except ValueError as exc:
                     raise ValidationError(
                         f"{path}: bad value for [{section}] {key}: {raw!r}"
                     ) from exc
     if seed is not None:
-        fields["seed"] = int(seed)
-    return RunConfig(**fields)
+        values["seed"] = int(seed)
+    return RunConfig(**values)
 
 
 def write_run_record(out_dir, command: str, config: RunConfig,
@@ -360,21 +346,17 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
     wav_dir = out / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)
     n_female = (config.corpus_speakers + 1) // 2
+    speakers = []  # (speaker_id, gender, base f0), females first
+    for gender, count, lo, hi in (
+        ("female", n_female, config.female_f0_min, config.female_f0_max),
+        ("male", config.corpus_speakers - n_female, config.male_f0_min, config.male_f0_max),
+    ):
+        bases = np.linspace(lo, hi, count + 2)[1:-1]
+        for i in range(count):
+            speakers.append((f"{gender[0]}{i + 1:02d}", gender, bases[i]))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
     records = []
-    for spk_idx in range(config.corpus_speakers):
-        female = spk_idx < n_female
-        if female:
-            lo, hi = config.female_f0_min, config.female_f0_max
-            bases = np.linspace(lo, hi, n_female + 2)[1:-1]
-            base_f0 = bases[spk_idx]
-            speaker_id = f"f{spk_idx + 1:02d}"
-        else:
-            n_male = config.corpus_speakers - n_female
-            lo, hi = config.male_f0_min, config.male_f0_max
-            bases = np.linspace(lo, hi, n_male + 2)[1:-1]
-            base_f0 = bases[spk_idx - n_female]
-            speaker_id = f"m{spk_idx - n_female + 1:02d}"
+    for speaker_id, gender, base_f0 in speakers:
         n_harmonics = int(rng.integers(4, 9))
         rolloff = float(rng.uniform(8.0, 14.0))
         for utt_idx in range(config.utterances_per_speaker):
@@ -391,8 +373,7 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
             wav_path = wav_dir / f"{speaker_id}-{utt_idx:02d}.wav"
             write_wav(buf, wav_path)
             words = rng.choice(VOCAB, size=int(rng.integers(3, 6)), replace=True)
-            records.append(ManifestRecord(str(wav_path), speaker_id,
-                                          "female" if female else "male",
+            records.append(ManifestRecord(str(wav_path), speaker_id, gender,
                                           config.severity, " ".join(words)))
     return write_manifest(records, out / "manifest.tsv")
 

@@ -1,8 +1,10 @@
 """Pipeline: manifests, configs, corpus synthesis, training, evaluation, CLI."""
 
 import collections
+import configparser
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,17 +177,25 @@ class TestConfig:
     def test_ini_parsing_and_seed_override(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(
-            "[triplet]\nalpha = 0.5\niterations = 7\n[run]\nseed = 3\n",
+            "[triplet]\nalpha = 0.5\niterations = 7\n[run]\nseed = 3\n"
+            "[corpus]\nn_speakers = 5\n",
             encoding="utf-8")
         config = load_config(path)
         assert (config.alpha, config.triplet_iterations, config.seed) == (0.5, 7, 3)
+        assert config.corpus_speakers == 5
         assert load_config(path, seed=9).seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[triplet]\nalfa = 0.5\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="alfa"):
-            load_config(path)
+        # A key is its field name without the section prefix, except
+        # [corpus] n_speakers; neither the full field name nor another
+        # shortening is accepted.
+        for section, key in (("triplet", "alfa"), ("corpus", "corpus_speakers"),
+                             ("corpus", "speakers"), ("ge2e", "ge2e_lr")):
+            path.write_text(f"[{section}]\n{key} = 5\n", encoding="utf-8")
+            with pytest.raises(ValidationError,
+                               match=rf"unknown config key \[{section}\] {key}$"):
+                load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad2.ini"
@@ -208,6 +218,28 @@ class TestConfig:
                      "--out", str(tmp_path / "corpus")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_readme_ini_block_is_the_schema(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block, encoding="utf-8")
+        assert load_config(path) == RunConfig()
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        documented = {(s, k) for s in parser.sections() for k in parser[s]}
+        assert len(documented) == len(dataclasses.fields(RunConfig)) == 28
+        assert documented == set(dsrkit.pipeline._INI_FIELDS)
+
+    def test_non_finite_float_field_rejected(self):
+        names = [f.name for f in dataclasses.fields(RunConfig) if f.type is float]
+        assert "alpha" in names and "hop_s" in names
+        for name in names:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                    RunConfig(**{name: value})
 
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValidationError):
@@ -744,8 +776,10 @@ class TestCli:
         ("evaluate --manifest {manifest} --checkpoint {ckpt} --hyp {hyp}", ""),
         ("finetune --manifest {short} --checkpoint {ckpt}", ""),
         ("pretrain --manifest {blip}", "[ge2e]\nn_speakers = 2\nm_utterances = 2\n"),
+        ("pretrain --manifest {manifest}",
+         "[ge2e]\nn_speakers = 2\nm_utterances = 2\nlr = nan\n"),
     ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
-            "hypothesis_count", "short_clips", "clips_under_one_window"])
+            "hypothesis_count", "short_clips", "clips_under_one_window", "lr_nan"])
     def test_rejected_input_leaves_no_output(self, staged, short_manifest, blip_manifest,
                                              tmp_path, capsys, argv, ini):
         manifest, records, ckpt = staged
