@@ -222,8 +222,8 @@ class TestConfig:
     def test_readme_ini_block_is_the_schema(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
             encoding="utf-8")
-        section = readme.split("\n## Configuration\n", 1)[1]
-        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        after_heading = readme.split("\n## Configuration\n", 1)[1]
+        block = after_heading.split("```ini\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "readme.ini"
         path.write_text(block, encoding="utf-8")
         assert load_config(path) == RunConfig()
