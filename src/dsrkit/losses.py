@@ -1,5 +1,5 @@
-"""Objective functions: triplet hinge, GE2E (softmax variant), CTC,
-per-step cross-entropy, and their weighted ASR combination.
+"""Objective functions: triplet hinge, GE2E (softmax variant), CTC and
+per-step cross-entropy.
 
 Every loss returns analytic gradients alongside the value; the test suite
 holds them to central finite differences. CTC is computed entirely in log
@@ -219,9 +219,3 @@ def s2s_ce_loss(logprobs, target, validate: bool = True):
     grad[rows, labels] = -1.0 / len(labels)
     return loss, grad
 
-
-def asr_loss(l_s2s: float, l_ctc: float, lambda_s2s: float = 0.5) -> float:
-    """Weighted sum lambda * l_s2s + (1 - lambda) * l_ctc."""
-    if not 0.0 <= lambda_s2s <= 1.0:
-        raise ParameterError(f"lambda_s2s {lambda_s2s} outside [0, 1]")
-    return lambda_s2s * l_s2s + (1.0 - lambda_s2s) * l_ctc

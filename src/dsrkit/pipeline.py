@@ -453,9 +453,7 @@ def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
            stage: str, checkpoint: str) -> Path:
     """The SGD loop of both training stages. Each batch is a list of
     utterances; objective(embeddings) returns (loss, grad_embeddings).
-    out_dir is created here, after the stage has checked its inputs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out_dir is created after the last step: a stage that fails leaves none."""
     cache = {}
     lines = ["iteration,loss"]
     for iteration, batch in enumerate(batches):
@@ -464,6 +462,8 @@ def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
         loss, grad_out = objective(embeddings)
         params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
         lines.append(f"{iteration},{repr(float(loss))}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"{stage}_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     ckpt = out / checkpoint
     save_checkpoint(params, ckpt)
@@ -601,6 +601,22 @@ def probe_shifted_females(params, shifted, config: RunConfig, centroids,
     return gender_probe(embeddings, centroids["female"], centroids["male"])[0]
 
 
+def assess(params, enrol_records, enrol_utts, test_utts, shifted, config: RunConfig,
+           cache: dict) -> dict:
+    """Score one checkpoint: the EER over all trials of test_utts, and the
+    gender-probe labels of test_utts and of shifted against the enrolment
+    centroids. Each set is embedded in one pass, a test set that is the
+    enrolment set once."""
+    enrol_emb = embed_utterances(params, enrol_utts, config, cache)
+    test_emb = (enrol_emb if test_utts is enrol_utts
+                else embed_utterances(params, test_utts, config, cache))
+    centroids = gender_centroids(enrol_records, enrol_emb)
+    labels = gender_probe(test_emb, centroids["female"], centroids["male"])[0]
+    return {"eer": eer(*verification_trials(test_utts, test_emb)), "test_labels": labels,
+            "shifted_labels": probe_shifted_females(params, shifted, config, centroids,
+                                                    cache)}
+
+
 def corpus_wer(references, hypotheses) -> float:
     """Total edits over total reference words across the corpus."""
     if len(references) != len(hypotheses):
@@ -632,20 +648,16 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
                 f"{hypotheses_path}: hypotheses are not UTF-8 ({exc})") from exc
         wer_value = corpus_wer([r.transcript for r in records], hyp_lines)
     params = load_checkpoint(checkpoint)
-    cache = {}
     utterances = load_utterances(records, config)
-    embeddings = embed_utterances(params, utterances, config, cache)
-    rows = [ReportRow("eer", "all", eer(*verification_trials(utterances, embeddings)))]
-    centroids = gender_centroids(records, embeddings)
-    labels, _ = gender_probe(embeddings, centroids["female"], centroids["male"])
-    genders = [r.gender for r in records]
-    rows.append(ReportRow("gender_probe_accuracy", "unmodified",
-                          float(np.mean(labels == genders))))
-    labels = probe_shifted_females(params, shifted_females(records, utterances, config),
-                                   config, centroids, cache)
-    if len(labels):
-        rows.append(ReportRow("gender_probe_accuracy", "female_pitch_shifted",
-                              float(np.mean(labels == "female"))))
+    scores = assess(params, records, utterances, utterances,
+                    shifted_females(records, utterances, config), config, {})
+    rows = [
+        ReportRow("eer", "all", scores["eer"]),
+        ReportRow("gender_probe_accuracy", "unmodified",
+                  float(np.mean(scores["test_labels"] == [r.gender for r in records]))),
+        ReportRow("gender_probe_accuracy", "female_pitch_shifted",
+                  float(np.mean(scores["shifted_labels"] == "female"))),
+    ]
     if hypotheses_path is not None:
         rows.append(ReportRow("wer", "corpus", wer_value))
     out = Path(out_dir)
@@ -679,13 +691,12 @@ def split_holdout(records, per_speaker: int):
 
 
 def run_gender_experiment(config: RunConfig, out_dir) -> dict:
-    """Synthesize, pretrain, fine-tune, then assess both checkpoints.
+    """Synthesize, pretrain, fine-tune, then `assess` both checkpoints,
+    enrolling the training utterances and testing the holdout.
 
-    Each assessment gives the holdout verification EER and the gender-probe
-    labels of the pitch-shifted holdout females, against centroids of the
-    training utterances. Both run after training, on audio decoded once,
-    one set of shifted buffers and one mel cache, so no decoded audio is
-    held through fine-tuning. Returns the measured rates; also writes all
+    Both assessments run after training, on audio decoded once, one set of
+    shifted holdout females and one mel cache, so no decoded audio is held
+    through fine-tuning. Returns the measured rates; also writes all
     artifacts under out_dir (corpus/, pretrain/, finetune/,
     experiment_report.{txt,csv}).
     """
@@ -707,34 +718,20 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
     holdout_utts = load_utterances(holdout, config)
     shifted = shifted_females(holdout, holdout_utts, config)
     cache = {}
+    pre, post = (assess(load_checkpoint(ckpt), train, train_utts, holdout_utts,
+                        shifted, config, cache) for ckpt in (pre_ckpt, post_ckpt))
 
-    def measure(ckpt):
-        params = load_checkpoint(ckpt)
-        holdout_emb = embed_utterances(params, holdout_utts, config, cache)
-        centroids = gender_centroids(
-            train, embed_utterances(params, train_utts, config, cache))
-        labels = probe_shifted_females(params, shifted, config, centroids, cache)
-        return eer(*verification_trials(holdout_utts, holdout_emb)), labels
-
-    eer_pre, probe_pre = measure(pre_ckpt)
-    flip_rate = float(np.mean(probe_pre == "male"))
-    eer_post, probe_post = measure(post_ckpt)
-    female_rate = float(np.mean(probe_post == "female"))
-
-    results = {
-        "eer_holdout_pretrained": eer_pre,
-        "probe_male_rate_pretrained": flip_rate,
-        "eer_holdout_finetuned": eer_post,
-        "probe_female_rate_finetuned": female_rate,
-        "eer_degradation": eer_post - eer_pre,
-    }
-    rows = [
-        ReportRow("eer_holdout", "pretrained", eer_pre),
-        ReportRow("probe_male_rate", "female_shifted_pretrained", flip_rate),
-        ReportRow("eer_holdout", "finetuned", eer_post),
-        ReportRow("probe_female_rate", "female_shifted_finetuned", female_rate),
-        ReportRow("eer_degradation", "holdout", eer_post - eer_pre),
+    # (result key, report metric, report cohort, value)
+    table = [
+        ("eer_holdout_pretrained", "eer_holdout", "pretrained", pre["eer"]),
+        ("probe_male_rate_pretrained", "probe_male_rate", "female_shifted_pretrained",
+         float(np.mean(pre["shifted_labels"] == "male"))),
+        ("eer_holdout_finetuned", "eer_holdout", "finetuned", post["eer"]),
+        ("probe_female_rate_finetuned", "probe_female_rate", "female_shifted_finetuned",
+         float(np.mean(post["shifted_labels"] == "female"))),
+        ("eer_degradation", "eer_degradation", "holdout", post["eer"] - pre["eer"]),
     ]
+    rows = [ReportRow(metric, cohort, value) for _, metric, cohort, value in table]
     write_text_report(rows, out / "experiment_report.txt")
     write_csv_report(rows, out / "experiment_report.csv")
-    return results
+    return {key: value for key, _, _, value in table}

@@ -18,7 +18,6 @@ from dsrkit.errors import (
 )
 from dsrkit.losses import (
     Ge2eScale,
-    asr_loss,
     ctc_loss,
     ge2e_loss,
     s2s_ce_loss,
@@ -394,29 +393,6 @@ class TestS2sCeLoss:
     def test_empty_target_rejected(self):
         with pytest.raises(EmptyInputError):
             s2s_ce_loss(np.zeros((0, 2)), [])
-
-
-class TestAsrLoss:
-    def test_hand_value(self):
-        assert asr_loss(2.0, 4.0, 0.5) == pytest.approx(3.0, abs=1e-15)
-
-    def test_boundaries(self):
-        assert asr_loss(2.0, 4.0, 1.0) == 2.0
-        assert asr_loss(2.0, 4.0, 0.0) == 4.0
-
-    def test_default_mix_is_half(self):
-        assert asr_loss(1.0, 3.0) == pytest.approx(2.0, abs=1e-15)
-
-    def test_monotone_in_each_component(self):
-        for lam in (0.25, 0.5, 0.75):
-            assert asr_loss(2.0, 4.0, lam) < asr_loss(2.5, 4.0, lam)
-            assert asr_loss(2.0, 4.0, lam) < asr_loss(2.0, 4.5, lam)
-
-    def test_out_of_range_lambda_rejected(self):
-        with pytest.raises(ParameterError):
-            asr_loss(1.0, 1.0, 1.5)
-        with pytest.raises(ParameterError):
-            asr_loss(1.0, 1.0, -0.1)
 
 
 class TestLogProbValidation:

@@ -2,6 +2,7 @@
 
 import collections
 import configparser
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -29,6 +30,7 @@ from dsrkit.encoder import (
     zero_grads,
 )
 from dsrkit.errors import (
+    DsrkitError,
     EmptyInputError,
     InsufficientBatchError,
     ManifestError,
@@ -344,6 +346,15 @@ class TestPretrain:
         with pytest.raises(InsufficientBatchError):
             pretrain_ge2e(manifest, config, tmp_path / "nope")
 
+    # The diverging step overflows in numpy before the GE2E check raises.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_leaves_no_output_directory(self, tiny_corpus, tmp_path):
+        manifest, _ = tiny_corpus
+        config = RunConfig(**{**vars(TINY), "ge2e_lr": 1e300})
+        with pytest.raises(DsrkitError):
+            pretrain_ge2e(manifest, config, tmp_path / "pre")
+        assert not (tmp_path / "pre").exists()
+
     def test_loss_decreases_over_training(self, tiny_corpus, tmp_path):
         manifest, _ = tiny_corpus
         config = RunConfig(**{**vars(TINY), "ge2e_iterations": 40})
@@ -466,6 +477,29 @@ class TestEvaluate:
         a = evaluate(manifest, ckpt, TINY, tmp_path / "ea")
         b = evaluate(manifest, ckpt, TINY, tmp_path / "eb")
         assert a.read_bytes() == b.read_bytes()
+
+
+def report_values(path):
+    """(metric, cohort) -> value string of a metrics CSV report, in row order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {(r["metric"], r["cohort"]): r["value"] for r in csv.DictReader(fh)}
+
+
+class TestAssess:
+    """evaluate and the gender experiment score a checkpoint through one
+    routine. EER does not depend on the enrolment centroids, so evaluating
+    the holdout manifest reproduces the experiment's holdout EER exactly."""
+
+    def test_evaluate_reproduces_experiment_report(self, tmp_path):
+        config = RunConfig(**{**vars(TINY), "utterances_per_speaker": 4,
+                              "holdout_per_speaker": 2})
+        results = run_gender_experiment(config, tmp_path / "x")
+        report = report_values(tmp_path / "x" / "experiment_report.csv")
+        assert [repr(v) for v in results.values()] == list(report.values())
+        evaluated = report_values(evaluate(
+            tmp_path / "x" / "corpus" / "holdout.tsv",
+            tmp_path / "x" / "finetune" / "finetuned.ckpt", config, tmp_path / "ev"))
+        assert evaluated[("eer", "all")] == report[("eer_holdout", "finetuned")]
 
 
 class TestSampleRate:
@@ -656,6 +690,21 @@ class TestDecodeOnce:
         with pytest.raises(ShapeError):
             evaluate(manifest, ckpt, TINY, tmp_path / "ev", hypotheses_path=hyp)
         assert sum(wav_reads.values()) == 0
+
+    def test_evaluate_encodes_manifest_and_shifted_females_once(self, staged, tmp_path,
+                                                                monkeypatch):
+        manifest, records, ckpt = staged
+        stacked = []
+        forward_batch = dsrkit.pipeline.forward_batch
+
+        def counting_forward(params, stack):
+            stacked.append(len(stack))
+            return forward_batch(params, stack)
+
+        monkeypatch.setattr(dsrkit.pipeline, "forward_batch", counting_forward)
+        evaluate(manifest, ckpt, TINY, tmp_path / "ev")
+        n_female = sum(r.gender == "female" for r in records)
+        assert sum(stacked) == len(records) + n_female
 
     def test_experiment_reads_train_thrice_and_holdout_once(self, tmp_path, wav_reads):
         config = RunConfig(**{**vars(TINY), "utterances_per_speaker": 4,
