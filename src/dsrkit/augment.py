@@ -127,7 +127,8 @@ def _resample(x: np.ndarray, stride: float, n_out: int) -> np.ndarray:
     return np.interp(pos, np.arange(len(x)), x)
 
 
-def _check_input(buffer: AudioBuffer) -> None:
+def check_input(buffer: AudioBuffer) -> None:
+    """Raise EmptyInputError unless buffer is long enough to augment."""
     if len(buffer) < MIN_SAMPLES:
         raise EmptyInputError(
             f"buffer of {len(buffer)} samples is too short to analyze "
@@ -145,7 +146,7 @@ def tempo_change(buffer: AudioBuffer, tempo_coeff: float) -> AudioBuffer:
         raise ParameterError(f"tempo_coeff {tempo_coeff} outside (0, 1]")
     if tempo_coeff == 1.0:
         return buffer
-    _check_input(buffer)
+    check_input(buffer)
     stretched = _phase_vocoder(_stft(buffer.samples), tempo_coeff)
     target = int(round(len(buffer) / tempo_coeff))
     return _finalize(_istft(stretched, target), buffer.sample_rate)
@@ -159,7 +160,7 @@ def pitch_shift(buffer: AudioBuffer, pitch_coeff: float) -> AudioBuffer:
         raise ParameterError(f"pitch_coeff {pitch_coeff} outside [0, 1]")
     if pitch_coeff == 0.0:
         return buffer
-    _check_input(buffer)
+    check_input(buffer)
     ratio = 1.0 - pitch_coeff * 0.5
     stretched = _phase_vocoder(_stft(buffer.samples), 1.0 / ratio)
     mid = _istft(stretched, int(round(len(buffer) * ratio)))

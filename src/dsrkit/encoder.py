@@ -200,6 +200,8 @@ def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
     top = hs_all[-1][-1].T
     pre_norm = top @ params.tensors["proj.w"].T + params.tensors["proj.b"]
     norms = np.linalg.norm(pre_norm, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise NumericError("pre-normalization embedding norm is not finite")
     if np.any(norms < 1e-300):
         raise NumericError("pre-normalization embedding collapsed to zero")
     embeddings = pre_norm / norms[:, None]

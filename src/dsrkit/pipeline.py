@@ -11,7 +11,7 @@ config so reruns can be checked byte for byte.
 import json
 import math
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .audio import VoiceSpec, log_mel, mel_window_length, read_wav, synth_voice, write_wav
-from .augment import MIN_SAMPLES, pitch_shift, tempo_change
+from .augment import check_input, pitch_shift, tempo_change
 from .encoder import (
     EncoderConfig,
     add_grads,
@@ -35,6 +35,7 @@ from .errors import (
     EmptyInputError,
     InsufficientBatchError,
     ManifestError,
+    NumericError,
     ParameterError,
     ShapeError,
     UndefinedMetricError,
@@ -54,7 +55,6 @@ from .metrics import (
 from .sampling import (
     GENDERS,
     SEVERITIES,
-    SpeakerProfile,
     Utterance,
     coeffs_for,
     iter_batches,
@@ -230,7 +230,8 @@ _MANIFEST_FIELDS = ("wav_path", "speaker_id", "gender", "severity", "transcript"
 
 
 def load_manifest(path) -> list:
-    """Parse a tab-separated 5-field manifest; any bad line is an error."""
+    """Parse a tab-separated 5-field manifest; any bad line is an error,
+    including one that gives its speaker another gender or severity."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -239,6 +240,7 @@ def load_manifest(path) -> list:
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: manifest is not UTF-8 ({exc})") from exc
     records = []
+    speakers = {}  # speaker_id -> (first line, gender, severity)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -252,6 +254,12 @@ def load_manifest(path) -> list:
             raise ManifestError(f"{path}:{lineno}: unknown gender {gender!r}")
         if severity != "none" and severity not in SEVERITIES:
             raise ManifestError(f"{path}:{lineno}: unknown severity {severity!r}")
+        first, *seen = speakers.setdefault(speaker_id, (lineno, gender, severity))
+        if seen != [gender, severity]:
+            raise ManifestError(
+                f"{path}:{lineno}: speaker {speaker_id} has conflicting metadata: "
+                f"{gender}/{severity} here, {seen[0]}/{seen[1]} on line {first}"
+            )
         wav_path = Path(wav)
         if not wav_path.is_absolute():
             wav_path = path.parent / wav_path
@@ -295,20 +303,6 @@ def write_manifest(records, path) -> Path:
     return path
 
 
-def profiles_from_records(records) -> dict:
-    """Speaker map, insisting gender/severity are consistent per speaker."""
-    profiles = {}
-    for r in records:
-        profile = SpeakerProfile(r.speaker_id, r.gender, r.severity)
-        seen = profiles.get(r.speaker_id)
-        if seen is not None and seen != profile:
-            raise ManifestError(
-                f"speaker {r.speaker_id} has conflicting metadata: {seen} vs {profile}"
-            )
-        profiles[r.speaker_id] = profile
-    return profiles
-
-
 def load_utterances(records, config: RunConfig) -> list:
     """Decode each record's WAV; its rate must be config.sample_rate, which
     the mel window, hop and filterbank are defined against, and it must
@@ -325,9 +319,8 @@ def load_utterances(records, config: RunConfig) -> list:
             mel_window_length(buf, config.win_s)
         except EmptyInputError as exc:
             raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
-        utterances.append(Utterance(r.speaker_id, buf,
-                                    utterance_id=r.wav_path,
-                                    transcript=r.transcript))
+        utterances.append(Utterance(r.speaker_id, r.gender, r.severity, buf,
+                                    utterance_id=r.wav_path))
     return utterances
 
 
@@ -457,10 +450,13 @@ def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
     cache = {}
     lines = ["iteration,loss"]
     for iteration, batch in enumerate(batches):
-        embeddings, groups = _grouped_forward(
-            params, [mel_for(u, config, cache) for u in batch])
-        loss, grad_out = objective(embeddings)
-        params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
+        try:
+            embeddings, groups = _grouped_forward(
+                params, [mel_for(u, config, cache) for u in batch])
+            loss, grad_out = objective(embeddings)
+            params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
+        except NumericError as exc:
+            raise NumericError(f"{stage} diverged at iteration {iteration}: {exc}") from exc
         lines.append(f"{iteration},{repr(float(loss))}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -513,16 +509,13 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
 def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
                      out_dir) -> Path:
     """Triplet fine-tuning, backpropagating through all three branches."""
-    records = load_manifest(manifest_path)
-    utterances = load_utterances(records, config)
+    utterances = load_utterances(load_manifest(manifest_path), config)
     # Any clip can be drawn as an anchor, and every anchor is stretched.
-    for r, u in zip(records, utterances):
-        if len(u.buffer) < MIN_SAMPLES:
-            raise EmptyInputError(
-                f"{r.wav_path}: buffer of {len(u.buffer)} samples is too short "
-                f"to augment (need at least {MIN_SAMPLES})"
-            )
-    profiles = profiles_from_records(records)
+    for u in utterances:
+        try:
+            check_input(u.buffer)
+        except EmptyInputError as exc:
+            raise EmptyInputError(f"{u.utterance_id}: {exc}") from exc
     params = load_checkpoint(base_checkpoint)
     if params.config.input_dim != config.n_mels:
         raise ShapeError(
@@ -530,8 +523,8 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
             f"config says {config.n_mels}"
         )
     # islice pulls no batch past the last one; a pull runs the vocoder.
-    triplets = islice(iter_batches(utterances, profiles, config.batch_size,
-                                   config.seed, {}), config.triplet_iterations)
+    triplets = islice(iter_batches(utterances, config.batch_size, config.seed, {}),
+                      config.triplet_iterations)
     batches = ([u for t in batch for u in (t.anchor, t.positive, t.negative)]
                for batch in triplets)
 
@@ -562,12 +555,12 @@ def verification_trials(utterances, embeddings):
     return scores, speakers[i] == speakers[j]
 
 
-def gender_centroids(records, embeddings):
-    """Unit-norm mean embedding per gender; embeddings are the unmodified
-    utterances' rows, aligned with records."""
+def gender_centroids(utterances, embeddings):
+    """Unit-norm mean embedding per gender; embeddings are the rows of the
+    unmodified utterances."""
     out = {}
     for gender in GENDERS:
-        rows = [i for i, r in enumerate(records) if r.gender == gender]
+        rows = [i for i, u in enumerate(utterances) if u.gender == gender]
         if not rows:
             raise InsufficientBatchError(f"no {gender} utterances for centroid")
         mean = embeddings[rows].mean(axis=0)
@@ -575,21 +568,21 @@ def gender_centroids(records, embeddings):
     return out
 
 
-def shifted_females(records, utterances, config: RunConfig) -> list:
+def shifted_females(utterances, config: RunConfig) -> list:
     """Each female utterance pitch-shifted by its severity coefficient (the
-    config's severity where the record has none)."""
+    config's severity where the utterance has none)."""
     shifted = []
-    for r, u in zip(records, utterances):
-        if r.gender != "female":
+    for u in utterances:
+        if u.gender != "female":
             continue
-        severity = r.severity if r.severity is not None else config.severity
+        severity = u.severity if u.severity is not None else config.severity
         coeff = coeffs_for(severity).pitch_coeff
         try:
             buf = pitch_shift(u.buffer, coeff)
         except EmptyInputError as exc:
-            raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
-        shifted.append(Utterance(r.speaker_id, buf,
-                                 utterance_id=f"{u.utterance_id}#pitch{coeff}"))
+            raise EmptyInputError(f"{u.utterance_id}: {exc}") from exc
+        shifted.append(replace(u, buffer=buf,
+                               utterance_id=f"{u.utterance_id}#pitch{coeff}"))
     return shifted
 
 
@@ -601,8 +594,7 @@ def probe_shifted_females(params, shifted, config: RunConfig, centroids,
     return gender_probe(embeddings, centroids["female"], centroids["male"])[0]
 
 
-def assess(params, enrol_records, enrol_utts, test_utts, shifted, config: RunConfig,
-           cache: dict) -> dict:
+def assess(params, enrol_utts, test_utts, shifted, config: RunConfig, cache: dict) -> dict:
     """Score one checkpoint: the EER over all trials of test_utts, and the
     gender-probe labels of test_utts and of shifted against the enrolment
     centroids. Each set is embedded in one pass, a test set that is the
@@ -610,7 +602,7 @@ def assess(params, enrol_records, enrol_utts, test_utts, shifted, config: RunCon
     enrol_emb = embed_utterances(params, enrol_utts, config, cache)
     test_emb = (enrol_emb if test_utts is enrol_utts
                 else embed_utterances(params, test_utts, config, cache))
-    centroids = gender_centroids(enrol_records, enrol_emb)
+    centroids = gender_centroids(enrol_utts, enrol_emb)
     labels = gender_probe(test_emb, centroids["female"], centroids["male"])[0]
     return {"eer": eer(*verification_trials(test_utts, test_emb)), "test_labels": labels,
             "shifted_labels": probe_shifted_females(params, shifted, config, centroids,
@@ -649,12 +641,12 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
         wer_value = corpus_wer([r.transcript for r in records], hyp_lines)
     params = load_checkpoint(checkpoint)
     utterances = load_utterances(records, config)
-    scores = assess(params, records, utterances, utterances,
-                    shifted_females(records, utterances, config), config, {})
+    scores = assess(params, utterances, utterances, shifted_females(utterances, config),
+                    config, {})
     rows = [
         ReportRow("eer", "all", scores["eer"]),
         ReportRow("gender_probe_accuracy", "unmodified",
-                  float(np.mean(scores["test_labels"] == [r.gender for r in records]))),
+                  float(np.mean(scores["test_labels"] == [u.gender for u in utterances]))),
         ReportRow("gender_probe_accuracy", "female_pitch_shifted",
                   float(np.mean(scores["shifted_labels"] == "female"))),
     ]
@@ -716,10 +708,10 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
 
     train_utts = load_utterances(train, config)
     holdout_utts = load_utterances(holdout, config)
-    shifted = shifted_females(holdout, holdout_utts, config)
+    shifted = shifted_females(holdout_utts, config)
     cache = {}
-    pre, post = (assess(load_checkpoint(ckpt), train, train_utts, holdout_utts,
-                        shifted, config, cache) for ckpt in (pre_ckpt, post_ckpt))
+    pre, post = (assess(load_checkpoint(ckpt), train_utts, holdout_utts, shifted, config,
+                        cache) for ckpt in (pre_ckpt, post_ckpt))
 
     # (result key, report metric, report cohort, value)
     table = [

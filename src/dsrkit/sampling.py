@@ -7,7 +7,7 @@ where a self-negative from pitch alone would be too easy.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,11 +21,16 @@ GENDERS = ("female", "male")
 SEVERITIES = ("moderate", "moderate_severe")
 
 
-@dataclass(frozen=True)
-class SpeakerProfile:
+@dataclass
+class Utterance:
+    """One audio clip with its speaker's gender and severity (None for
+    speakers with no dysarthria setting); utterance_id keys caches."""
+
     speaker_id: str
     gender: str
-    severity: str = None  # None for speakers with no dysarthria setting
+    severity: str
+    buffer: AudioBuffer
+    utterance_id: str
 
     def __post_init__(self):
         if not self.speaker_id:
@@ -34,16 +39,6 @@ class SpeakerProfile:
             raise ParameterError(f"unknown gender {self.gender!r}")
         if self.severity is not None and self.severity not in SEVERITIES:
             raise ParameterError(f"unknown severity {self.severity!r}")
-
-
-@dataclass
-class Utterance:
-    """One audio clip tied to a speaker; utterance_id keys caches."""
-
-    speaker_id: str
-    buffer: AudioBuffer
-    utterance_id: str
-    transcript: str = ""
 
 
 @dataclass
@@ -77,29 +72,26 @@ def _cached_augment(cache: dict, utt: Utterance, kind: str, coeff: float) -> Aud
     return cache[key]
 
 
-def build_triplet(anchor: Utterance, profile: SpeakerProfile, pool,
-                  seed: int, cache: dict) -> Triplet:
+def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
     """Assemble one (anchor, positive, negative) per the gender policy.
 
     pool supplies cross-speaker negative candidates for male anchors; it
     may contain same-speaker utterances, which are filtered out here.
     cache keeps the augmented audio under the anchor's utterance_id.
     """
-    if profile.severity is None:
+    if anchor.severity is None:
         raise ParameterError(
-            f"speaker {profile.speaker_id} has no severity; cannot pick coefficients"
+            f"speaker {anchor.speaker_id} has no severity; cannot pick coefficients"
         )
-    coeffs = coeffs_for(profile.severity)
-    pos_buf = _cached_augment(cache, anchor, "tempo", coeffs.tempo_coeff)
-    positive = Utterance(anchor.speaker_id, pos_buf,
-                         f"{anchor.utterance_id}#tempo{coeffs.tempo_coeff}",
-                         anchor.transcript)
+    coeffs = coeffs_for(anchor.severity)
+    positive = replace(anchor,
+                       buffer=_cached_augment(cache, anchor, "tempo", coeffs.tempo_coeff),
+                       utterance_id=f"{anchor.utterance_id}#tempo{coeffs.tempo_coeff}")
     tag = {"pitch_coeff": coeffs.pitch_coeff, "tempo_coeff": coeffs.tempo_coeff}
-    if profile.gender == "female":
-        neg_buf = _cached_augment(cache, anchor, "pitch", coeffs.pitch_coeff)
-        negative = Utterance(anchor.speaker_id, neg_buf,
-                             f"{anchor.utterance_id}#pitch{coeffs.pitch_coeff}",
-                             anchor.transcript)
+    if anchor.gender == "female":
+        negative = replace(anchor,
+                           buffer=_cached_augment(cache, anchor, "pitch", coeffs.pitch_coeff),
+                           utterance_id=f"{anchor.utterance_id}#pitch{coeffs.pitch_coeff}")
         tag["negative_source"] = "self_pitch_shift"
     else:
         others = [u for u in pool if u.speaker_id != anchor.speaker_id]
@@ -114,8 +106,7 @@ def build_triplet(anchor: Utterance, profile: SpeakerProfile, pool,
     return Triplet(anchor, positive, negative, tag)
 
 
-def iter_batches(utterances, profiles: dict, batch_size: int, seed: int,
-                 cache: dict):
+def iter_batches(utterances, batch_size: int, seed: int, cache: dict):
     """Endless stream of training batches: a fresh seeded permutation per
     epoch, consumed in full batches (one short batch per epoch if the pool
     is smaller than batch_size)."""
@@ -134,10 +125,6 @@ def iter_batches(utterances, profiles: dict, batch_size: int, seed: int,
         for start in starts:
             chosen = order[start:start + batch_size]
             child_seeds = rng.integers(0, 2**31, size=len(chosen))
-            batch = []
-            for idx, child in zip(chosen, child_seeds):
-                anchor = utterances[int(idx)]
-                batch.append(build_triplet(anchor, profiles[anchor.speaker_id],
-                                           utterances, int(child), cache))
-            yield batch
+            yield [build_triplet(utterances[int(idx)], utterances, int(child), cache)
+                   for idx, child in zip(chosen, child_seeds)]
         epoch += 1

@@ -21,3 +21,23 @@ def test_traced_names_resolve():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in targets
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_traced_experiment_matches_untraced(tmp_path):
+    # The tracer's describe functions read arguments by position, so a
+    # changed signature shows up only when a traced run calls through them.
+    tracing = runpy.run_path(str(TRACING))
+    config = dsrkit.pipeline.RunConfig(
+        corpus_speakers=4, utterances_per_speaker=4, duration_s=0.5, ge2e_n_speakers=2,
+        ge2e_m_utterances=2, ge2e_iterations=3, batch_size=4, triplet_iterations=2,
+        holdout_per_speaker=2)
+    untraced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "plain")
+    tracer = tracing["Tracer"](
+        tracing["stage_targets"](dsrkit) + tracing["layer_targets"](dsrkit), full=True)
+    with tracer.installed():
+        traced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "traced")
+    assert traced == untraced
+    stats = tracing["layer_stats"](tracer.spans, None)
+    for name in ("sampling.build_triplet", "sampling.batch", "pipeline.gender_centroids",
+                 "pipeline.probe_shifted_females", "encoder.backward_batch"):
+        assert stats.get(f"{name}.calls", 0) >= 1, name

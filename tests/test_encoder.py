@@ -262,6 +262,17 @@ class TestEncodeContracts:
             scaled = EncoderParams(params.config, tensors)
             npt.assert_allclose(embed_one(scaled, frames), base, atol=1e-9)
 
+    # Squaring the scaled projection overflows in numpy before the check raises.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_norm_rejected(self):
+        params = init_params(SMALL)
+        tensors = dict(params.tensors)
+        tensors["proj.w"] = 1e308 * tensors["proj.w"]
+        tensors["proj.b"] = 1e308 * tensors["proj.b"]
+        stack = np.random.default_rng(3).normal(size=(3, 5, 5))
+        with pytest.raises(NumericError, match="not finite"):
+            forward_batch(EncoderParams(params.config, tensors), stack)
+
     def test_wrong_frame_width_rejected(self):
         params = init_params(SMALL)
         with pytest.raises(ShapeError):

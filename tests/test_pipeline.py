@@ -30,10 +30,10 @@ from dsrkit.encoder import (
     zero_grads,
 )
 from dsrkit.errors import (
-    DsrkitError,
     EmptyInputError,
     InsufficientBatchError,
     ManifestError,
+    NumericError,
     ParameterError,
     ShapeError,
     ValidationError,
@@ -51,12 +51,13 @@ from dsrkit.pipeline import (
     load_manifest,
     load_utterances,
     pretrain_ge2e,
-    profiles_from_records,
     run_gender_experiment,
+    shifted_females,
     split_holdout,
     synth_corpus,
     write_manifest,
 )
+from dsrkit.sampling import Utterance
 
 TINY = RunConfig(corpus_speakers=4, utterances_per_speaker=3, duration_s=0.5,
                  ge2e_n_speakers=2, ge2e_m_utterances=2, ge2e_iterations=3,
@@ -68,6 +69,17 @@ def tiny_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     manifest = synth_corpus(TINY, out)
     return manifest, load_manifest(manifest)
+
+
+@pytest.fixture(scope="module")
+def conflict_manifest(tiny_corpus, tmp_path_factory):
+    """The tiny corpus with its first two lines renamed to speaker s1, the
+    second of them male."""
+    _, records = tiny_corpus
+    s1 = [dataclasses.replace(r, speaker_id="s1", gender=gender)
+          for r, gender in zip(records[:2], ("female", "male"))]
+    return write_manifest(s1 + records[2:],
+                          tmp_path_factory.mktemp("conflict") / "conflict.tsv")
 
 
 class TestManifest:
@@ -160,13 +172,9 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
-    def test_conflicting_speaker_metadata_rejected(self, tiny_corpus):
-        _, records = tiny_corpus
-        twisted = [records[0],
-                   ManifestRecord(records[1].wav_path, records[0].speaker_id,
-                                  "male", records[0].severity, "x")]
-        with pytest.raises(ManifestError, match="conflicting"):
-            profiles_from_records(twisted)
+    def test_conflicting_speaker_metadata_rejected(self, conflict_manifest):
+        with pytest.raises(ManifestError, match=":2: speaker s1 has conflicting"):
+            load_manifest(conflict_manifest)
 
 
 class TestConfig:
@@ -346,12 +354,12 @@ class TestPretrain:
         with pytest.raises(InsufficientBatchError):
             pretrain_ge2e(manifest, config, tmp_path / "nope")
 
-    # The diverging step overflows in numpy before the GE2E check raises.
+    # The diverging step overflows in numpy before forward_batch raises.
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_leaves_no_output_directory(self, tiny_corpus, tmp_path):
         manifest, _ = tiny_corpus
         config = RunConfig(**{**vars(TINY), "ge2e_lr": 1e300})
-        with pytest.raises(DsrkitError):
+        with pytest.raises(NumericError, match=r"^pretrain diverged at iteration 1: "):
             pretrain_ge2e(manifest, config, tmp_path / "pre")
         assert not (tmp_path / "pre").exists()
 
@@ -483,6 +491,17 @@ def report_values(path):
     """(metric, cohort) -> value string of a metrics CSV report, in row order."""
     with open(path, encoding="utf-8", newline="") as fh:
         return {(r["metric"], r["cohort"]): r["value"] for r in csv.DictReader(fh)}
+
+
+class TestShiftedFemales:
+    def test_each_utterance_uses_its_own_severity(self):
+        buf = synth_voice(VoiceSpec(220.0, 6, 10.0, 0.5))
+        utterances = [Utterance("f1", "female", "moderate", buf, "f1-0"),
+                      Utterance("m1", "male", "moderate", buf, "m1-0"),
+                      Utterance("f2", "female", None, buf, "f2-0")]
+        config = RunConfig(**{**vars(TINY), "severity": "moderate_severe"})
+        shifted = shifted_females(utterances, config)
+        assert [u.utterance_id for u in shifted] == ["f1-0#pitch0.25", "f2-0#pitch0.5"]
 
 
 class TestAssess:
@@ -827,10 +846,13 @@ class TestCli:
         ("pretrain --manifest {blip}", "[ge2e]\nn_speakers = 2\nm_utterances = 2\n"),
         ("pretrain --manifest {manifest}",
          "[ge2e]\nn_speakers = 2\nm_utterances = 2\nlr = nan\n"),
+        ("evaluate --manifest {conflict} --checkpoint {ckpt}", ""),
     ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
-            "hypothesis_count", "short_clips", "clips_under_one_window", "lr_nan"])
+            "hypothesis_count", "short_clips", "clips_under_one_window", "lr_nan",
+            "conflicting_speaker"])
     def test_rejected_input_leaves_no_output(self, staged, short_manifest, blip_manifest,
-                                             tmp_path, capsys, argv, ini):
+                                             conflict_manifest, tmp_path, capsys, argv,
+                                             ini):
         manifest, records, ckpt = staged
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("one line\n" * (len(records) + 1), encoding="utf-8")
@@ -838,7 +860,7 @@ class TestCli:
         config.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp, short=short_manifest,
-                         blip=blip_manifest)
+                         blip=blip_manifest, conflict=conflict_manifest)
                 for a in argv.split()]
         assert main(args + ["--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
