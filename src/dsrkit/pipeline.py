@@ -52,6 +52,7 @@ from .metrics import (
     write_csv_report,
     write_text_report,
 )
+from .parallel import pmap
 from .sampling import (
     GENDERS,
     SEVERITIES,
@@ -229,6 +230,19 @@ class ManifestRecord:
 _MANIFEST_FIELDS = ("wav_path", "speaker_id", "gender", "severity", "transcript")
 
 
+def _check_speaker(speakers: dict, where: str, name: str, speaker_id: str, gender: str,
+                   severity: str) -> None:
+    """A manifest gives each speaker one gender and one severity. speakers
+    maps speaker_id to (name, gender, severity) of its first entry; where
+    and name locate this entry in the error and in later ones."""
+    first, *seen = speakers.setdefault(speaker_id, (name, gender, severity))
+    if seen != [gender, severity]:
+        raise ManifestError(
+            f"{where}: speaker {speaker_id} has conflicting metadata: "
+            f"{gender}/{severity} here, {seen[0]}/{seen[1]} at {first}"
+        )
+
+
 def load_manifest(path) -> list:
     """Parse a tab-separated 5-field manifest; any bad line is an error,
     including one that gives its speaker another gender or severity."""
@@ -254,12 +268,8 @@ def load_manifest(path) -> list:
             raise ManifestError(f"{path}:{lineno}: unknown gender {gender!r}")
         if severity != "none" and severity not in SEVERITIES:
             raise ManifestError(f"{path}:{lineno}: unknown severity {severity!r}")
-        first, *seen = speakers.setdefault(speaker_id, (lineno, gender, severity))
-        if seen != [gender, severity]:
-            raise ManifestError(
-                f"{path}:{lineno}: speaker {speaker_id} has conflicting metadata: "
-                f"{gender}/{severity} here, {seen[0]}/{seen[1]} on line {first}"
-            )
+        _check_speaker(speakers, f"{path}:{lineno}", f"line {lineno}",
+                       speaker_id, gender, severity)
         wav_path = Path(wav)
         if not wav_path.is_absolute():
             wav_path = path.parent / wav_path
@@ -274,10 +284,12 @@ def load_manifest(path) -> list:
 
 
 def write_manifest(records, path) -> Path:
-    """Write records with wav paths relative to the manifest directory."""
+    """Write records with wav paths relative to the manifest directory;
+    records that load_manifest would reject are refused before writing."""
     path = Path(path)
     lines = []
-    for r in records:
+    speakers = {}  # speaker_id -> (first record, gender, severity)
+    for index, r in enumerate(records):
         wav = Path(r.wav_path)
         try:
             wav = wav.relative_to(path.parent)
@@ -298,6 +310,8 @@ def write_manifest(records, path) -> Path:
             raise ManifestError(f"unknown gender {r.gender!r}")
         if severity != "none" and severity not in SEVERITIES:
             raise ManifestError(f"unknown severity {severity!r}")
+        name = f"record {index} ({r.wav_path})"
+        _check_speaker(speakers, name, name, r.speaker_id, r.gender, severity)
         lines.append("\t".join(fields))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -348,7 +362,7 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
         for i in range(count):
             speakers.append((f"{gender[0]}{i + 1:02d}", gender, bases[i]))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
-    records = []
+    jobs, records = [], []  # (VoiceSpec, wav path) and ManifestRecord per utterance
     for speaker_id, gender, base_f0 in speakers:
         n_harmonics = int(rng.integers(4, 9))
         rolloff = float(rng.uniform(8.0, 14.0))
@@ -362,12 +376,14 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
                 vibrato_cents=float(rng.uniform(5.0, 20.0)),
                 seed=int(rng.integers(2**31)),
             )
-            buf = synth_voice(spec, config.sample_rate)
             wav_path = wav_dir / f"{speaker_id}-{utt_idx:02d}.wav"
-            write_wav(buf, wav_path)
             words = rng.choice(VOCAB, size=int(rng.integers(3, 6)), replace=True)
+            jobs.append((spec, wav_path))
             records.append(ManifestRecord(str(wav_path), speaker_id, gender,
                                           config.severity, " ".join(words)))
+    # synth_voice seeds its own generator, so rendering after the draws
+    # changes no draw; each worker writes its WAV and keeps no buffer.
+    pmap(lambda job: write_wav(synth_voice(job[0], config.sample_rate), job[1]), jobs)
     return write_manifest(records, out / "manifest.tsv")
 
 
@@ -570,20 +586,18 @@ def gender_centroids(utterances, embeddings):
 
 def shifted_females(utterances, config: RunConfig) -> list:
     """Each female utterance pitch-shifted by its severity coefficient (the
-    config's severity where the utterance has none)."""
-    shifted = []
-    for u in utterances:
-        if u.gender != "female":
-            continue
+    config's severity where the utterance has none), in input order; the
+    shifts run on the worker pool of `pmap`."""
+    def shift(u):
         severity = u.severity if u.severity is not None else config.severity
         coeff = coeffs_for(severity).pitch_coeff
         try:
             buf = pitch_shift(u.buffer, coeff)
         except EmptyInputError as exc:
             raise EmptyInputError(f"{u.utterance_id}: {exc}") from exc
-        shifted.append(replace(u, buffer=buf,
-                               utterance_id=f"{u.utterance_id}#pitch{coeff}"))
-    return shifted
+        return replace(u, buffer=buf, utterance_id=f"{u.utterance_id}#pitch{coeff}")
+
+    return pmap(shift, [u for u in utterances if u.gender == "female"])
 
 
 def probe_shifted_females(params, shifted, config: RunConfig, centroids,

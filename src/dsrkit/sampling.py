@@ -14,6 +14,7 @@ import numpy as np
 from .audio import AudioBuffer
 from .augment import AugmentCoeffs, pitch_shift, tempo_change
 from .errors import ParameterError, SamplingError
+from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -64,12 +65,44 @@ def coeffs_for(severity: str) -> AugmentCoeffs:
     raise ParameterError(f"no coefficients defined for severity {severity!r}")
 
 
+def _augment_requests(anchor: Utterance):
+    """(coeffs, [(kind, coeff), ...]): the augments the policy asks of
+    anchor, a tempo-stretched positive and, for a female, a pitch-shifted
+    self-negative."""
+    if anchor.severity is None:
+        raise ParameterError(
+            f"speaker {anchor.speaker_id} has no severity; cannot pick coefficients"
+        )
+    coeffs = coeffs_for(anchor.severity)
+    requests = [("tempo", coeffs.tempo_coeff)]
+    if anchor.gender == "female":
+        requests.append(("pitch", coeffs.pitch_coeff))
+    return coeffs, requests
+
+
+def _augment(utt: Utterance, kind: str, coeff: float) -> AudioBuffer:
+    augment = tempo_change if kind == "tempo" else pitch_shift
+    return augment(utt.buffer, coeff)
+
+
 def _cached_augment(cache: dict, utt: Utterance, kind: str, coeff: float) -> AudioBuffer:
     key = (utt.utterance_id, kind, coeff)
     if key not in cache:
-        augment = tempo_change if kind == "tempo" else pitch_shift
-        cache[key] = augment(utt.buffer, coeff)
+        cache[key] = _augment(utt, kind, coeff)
     return cache[key]
+
+
+def _prefetch(anchors, cache: dict) -> None:
+    """Put every augment the anchors need and cache lacks into cache, each
+    distinct request computed once, on the worker pool."""
+    missing = {}  # cache key -> anchor, in anchor order
+    for anchor in anchors:
+        for kind, coeff in _augment_requests(anchor)[1]:
+            key = (anchor.utterance_id, kind, coeff)
+            if key not in cache:
+                missing.setdefault(key, anchor)
+    buffers = pmap(lambda key: _augment(missing[key], *key[1:]), list(missing))
+    cache.update(zip(missing, buffers))
 
 
 def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
@@ -79,19 +112,14 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
     may contain same-speaker utterances, which are filtered out here.
     cache keeps the augmented audio under the anchor's utterance_id.
     """
-    if anchor.severity is None:
-        raise ParameterError(
-            f"speaker {anchor.speaker_id} has no severity; cannot pick coefficients"
-        )
-    coeffs = coeffs_for(anchor.severity)
-    positive = replace(anchor,
-                       buffer=_cached_augment(cache, anchor, "tempo", coeffs.tempo_coeff),
-                       utterance_id=f"{anchor.utterance_id}#tempo{coeffs.tempo_coeff}")
+    coeffs, requests = _augment_requests(anchor)
+    augmented = {kind: replace(anchor, buffer=_cached_augment(cache, anchor, kind, coeff),
+                               utterance_id=f"{anchor.utterance_id}#{kind}{coeff}")
+                 for kind, coeff in requests}
+    positive = augmented["tempo"]
     tag = {"pitch_coeff": coeffs.pitch_coeff, "tempo_coeff": coeffs.tempo_coeff}
-    if anchor.gender == "female":
-        negative = replace(anchor,
-                           buffer=_cached_augment(cache, anchor, "pitch", coeffs.pitch_coeff),
-                           utterance_id=f"{anchor.utterance_id}#pitch{coeffs.pitch_coeff}")
+    if "pitch" in augmented:
+        negative = augmented["pitch"]
         tag["negative_source"] = "self_pitch_shift"
     else:
         others = [u for u in pool if u.speaker_id != anchor.speaker_id]
@@ -109,7 +137,8 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
 def iter_batches(utterances, batch_size: int, seed: int, cache: dict):
     """Endless stream of training batches: a fresh seeded permutation per
     epoch, consumed in full batches (one short batch per epoch if the pool
-    is smaller than batch_size)."""
+    is smaller than batch_size). Pulling a batch first computes the
+    augments its anchors lack in cache on the worker pool of `pmap`."""
     if batch_size < 1:
         raise ParameterError("batch_size must be at least 1")
     if not utterances:
@@ -123,8 +152,10 @@ def iter_batches(utterances, batch_size: int, seed: int, cache: dict):
         if n < batch_size and epoch == 0:
             log.warning("short batches: %d utterances for batch size %d", n, batch_size)
         for start in starts:
-            chosen = order[start:start + batch_size]
-            child_seeds = rng.integers(0, 2**31, size=len(chosen))
-            yield [build_triplet(utterances[int(idx)], utterances, int(child), cache)
-                   for idx, child in zip(chosen, child_seeds)]
+            anchors = [utterances[int(idx)] for idx in order[start:start + batch_size]]
+            child_seeds = rng.integers(0, 2**31, size=len(anchors))
+            # Only a pulled batch runs the vocoder; build_triplet then hits cache.
+            _prefetch(anchors, cache)
+            yield [build_triplet(anchor, utterances, int(child), cache)
+                   for anchor, child in zip(anchors, child_seeds)]
         epoch += 1

@@ -41,3 +41,12 @@ def test_traced_experiment_matches_untraced(tmp_path):
     for name in ("sampling.build_triplet", "sampling.batch", "pipeline.gender_centroids",
                  "pipeline.probe_shifted_females", "encoder.backward_batch"):
         assert stats.get(f"{name}.calls", 0) >= 1, name
+    # The synthesis and vocoder calls run on pool threads, which must still
+    # look up the names the tracer patches.
+    holdout = dsrkit.pipeline.load_manifest(tmp_path / "traced" / "corpus" / "holdout.tsv")
+    assert stats["audio.synth_voice.calls"] == (config.corpus_speakers
+                                                * config.utterances_per_speaker)
+    assert (stats["augment.pitch_shift.calls"]
+            - stats.get("augment.pitch_shift.via_sampling.calls", 0)
+            == sum(r.gender == "female" for r in holdout))
+    assert stats["sampling.vocoder_calls"] >= 1

@@ -57,7 +57,8 @@ from dsrkit.pipeline import (
     synth_corpus,
     write_manifest,
 )
-from dsrkit.sampling import Utterance
+from dsrkit.augment import pitch_shift
+from dsrkit.sampling import Utterance, coeffs_for
 
 TINY = RunConfig(corpus_speakers=4, utterances_per_speaker=3, duration_s=0.5,
                  ge2e_n_speakers=2, ge2e_m_utterances=2, ge2e_iterations=3,
@@ -74,12 +75,15 @@ def tiny_corpus(tmp_path_factory):
 @pytest.fixture(scope="module")
 def conflict_manifest(tiny_corpus, tmp_path_factory):
     """The tiny corpus with its first two lines renamed to speaker s1, the
-    second of them male."""
+    second of them male; written as text, since write_manifest refuses it."""
     _, records = tiny_corpus
     s1 = [dataclasses.replace(r, speaker_id="s1", gender=gender)
           for r, gender in zip(records[:2], ("female", "male"))]
-    return write_manifest(s1 + records[2:],
-                          tmp_path_factory.mktemp("conflict") / "conflict.tsv")
+    path = tmp_path_factory.mktemp("conflict") / "conflict.tsv"
+    path.write_text("".join(f"{r.wav_path}\t{r.speaker_id}\t{r.gender}\t{r.severity}"
+                            f"\t{r.transcript}\n" for r in s1 + records[2:]),
+                    encoding="utf-8")
+    return path
 
 
 class TestManifest:
@@ -176,6 +180,22 @@ class TestManifest:
         with pytest.raises(ManifestError, match=":2: speaker s1 has conflicting"):
             load_manifest(conflict_manifest)
 
+    @pytest.mark.parametrize("field, value, meta", [
+        ("gender", "male", "male/moderate_severe here, female/moderate_severe"),
+        ("severity", None, "female/none here, female/moderate_severe"),
+    ])
+    def test_write_refuses_conflicting_speaker_metadata(self, tiny_corpus, tmp_path, field,
+                                                        value, meta):
+        _, records = tiny_corpus
+        s1 = [dataclasses.replace(r, speaker_id="s1") for r in records[:2]]
+        s1[1] = dataclasses.replace(s1[1], **{field: value})
+        path = tmp_path / "conflict.tsv"
+        with pytest.raises(ManifestError) as info:
+            write_manifest(s1 + records[2:], path)
+        assert str(info.value) == (f"record 1 ({s1[1].wav_path}): speaker s1 has conflicting "
+                                   f"metadata: {meta} at record 0 ({s1[0].wav_path})")
+        assert not path.exists()
+
 
 class TestConfig:
     def test_defaults_load_without_file(self):
@@ -271,7 +291,54 @@ class TestConfig:
         RunConfig(female_f0_min=200.0, female_f0_max=240.0)  # sub-range is fine
 
 
+def serial_synth_corpus(config, out_dir):
+    """synth_corpus as one serial loop that renders and writes each WAV
+    between its draws: the reference the pooled version must match."""
+    out = Path(out_dir)
+    wav_dir = out / "wavs"
+    wav_dir.mkdir(parents=True, exist_ok=True)
+    n_female = (config.corpus_speakers + 1) // 2
+    speakers = []
+    for gender, count, lo, hi in (
+        ("female", n_female, config.female_f0_min, config.female_f0_max),
+        ("male", config.corpus_speakers - n_female, config.male_f0_min, config.male_f0_max),
+    ):
+        bases = np.linspace(lo, hi, count + 2)[1:-1]
+        for i in range(count):
+            speakers.append((f"{gender[0]}{i + 1:02d}", gender, bases[i]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
+    records = []
+    for speaker_id, gender, base_f0 in speakers:
+        n_harmonics = int(rng.integers(4, 9))
+        rolloff = float(rng.uniform(8.0, 14.0))
+        for utt_idx in range(config.utterances_per_speaker):
+            f0 = float(base_f0 + rng.uniform(-2.0, 2.0))
+            spec = VoiceSpec(f0=f0, n_harmonics=n_harmonics, harmonic_rolloff=rolloff,
+                             duration_s=config.duration_s,
+                             vibrato_cents=float(rng.uniform(5.0, 20.0)),
+                             seed=int(rng.integers(2**31)))
+            wav_path = wav_dir / f"{speaker_id}-{utt_idx:02d}.wav"
+            write_wav(synth_voice(spec, config.sample_rate), wav_path)
+            words = rng.choice(dsrkit.pipeline.VOCAB, size=int(rng.integers(3, 6)),
+                               replace=True)
+            records.append(ManifestRecord(str(wav_path), speaker_id, gender,
+                                          config.severity, " ".join(words)))
+    return write_manifest(records, out / "manifest.tsv")
+
+
 class TestSynthCorpus:
+    def test_equals_serial_oracle(self, tmp_path):
+        config = RunConfig(**{**vars(TINY), "corpus_speakers": 5, "seed": 17})
+        pooled = synth_corpus(config, tmp_path / "pooled")
+        serial = serial_synth_corpus(config, tmp_path / "serial")
+        assert pooled.read_bytes() == serial.read_bytes()
+        names = sorted(p.name for p in (tmp_path / "serial" / "wavs").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pooled" / "wavs").iterdir())
+        assert len(names) == 15
+        for name in names:
+            assert ((tmp_path / "pooled" / "wavs" / name).read_bytes()
+                    == (tmp_path / "serial" / "wavs" / name).read_bytes()), name
+
     def test_counts_and_genders(self, tiny_corpus):
         manifest, records = tiny_corpus
         assert len(records) == 12
@@ -502,6 +569,22 @@ class TestShiftedFemales:
         config = RunConfig(**{**vars(TINY), "severity": "moderate_severe"})
         shifted = shifted_females(utterances, config)
         assert [u.utterance_id for u in shifted] == ["f1-0#pitch0.25", "f2-0#pitch0.5"]
+
+    def test_equals_serial_loop(self, tiny_corpus):
+        _, records = tiny_corpus
+        # Alternate the severities so the shifts differ in coefficient.
+        utterances = [dataclasses.replace(u, severity=("moderate", None)[i % 2])
+                      for i, u in enumerate(load_utterances(records, TINY))]
+        want = []
+        for u in utterances:
+            if u.gender == "female":
+                coeff = coeffs_for(u.severity or TINY.severity).pitch_coeff
+                want.append((f"{u.utterance_id}#pitch{coeff}",
+                             pitch_shift(u.buffer, coeff).samples.view(np.int64)))
+        got = shifted_females(utterances, TINY)
+        assert [u.utterance_id for u in got] == [utt_id for utt_id, _ in want]
+        for u, (_, samples) in zip(got, want):
+            assert np.array_equal(u.buffer.samples.view(np.int64), samples)
 
 
 class TestAssess:

@@ -2,11 +2,15 @@
 
 import dataclasses
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import dsrkit.sampling
 from dsrkit.audio import AudioBuffer
+from dsrkit.augment import pitch_shift, tempo_change
 from dsrkit.errors import ParameterError, SamplingError
 from dsrkit.sampling import (
     Triplet,
@@ -205,3 +209,64 @@ class TestIterBatches:
         gen = iter_batches(utts, batch_size=1, seed=3, cache={})
         seen = [next(gen)[0].anchor.utterance_id for _ in range(len(utts))]
         assert sorted(seen) == sorted(u.utterance_id for u in utts)
+
+
+def requests_of(batch):
+    """The distinct (utterance_id, kind, coeff) augments a batch asked for."""
+    out = set()
+    for t in batch:
+        out.add((t.anchor.utterance_id, "tempo", t.policy_tag["tempo_coeff"]))
+        if t.policy_tag["negative_source"] == "self_pitch_shift":
+            out.add((t.anchor.utterance_id, "pitch", t.policy_tag["pitch_coeff"]))
+    return out
+
+
+class TestPrefetch:
+    """A pulled batch runs its vocoder calls on the worker pool; the cache
+    and the triplets must be exactly what the serial calls give."""
+
+    def test_cached_buffers_equal_direct_calls(self, small_pool):
+        cache = {}
+        gen = iter_batches(small_pool, batch_size=3, seed=2, cache=cache)
+        batches = [next(gen) for _ in range(4)]
+        by_id = {u.utterance_id: u for u in small_pool}
+        direct = {"tempo": tempo_change, "pitch": pitch_shift}
+        assert set(cache) == set().union(*map(requests_of, batches))
+        for (utt_id, kind, coeff), buf in cache.items():
+            want = direct[kind](by_id[utt_id].buffer, coeff)
+            assert np.array_equal(buf.samples.view(np.int64), want.samples.view(np.int64))
+        for t in (t for batch in batches for t in batch):
+            key = (t.anchor.utterance_id, "tempo", t.policy_tag["tempo_coeff"])
+            assert t.positive.buffer is cache[key]
+
+    def test_one_vocoder_call_per_distinct_request(self, small_pool, monkeypatch):
+        lock = threading.Lock()
+        calls = []
+
+        def counted(fn, kind):
+            def wrapper(buffer, coeff):
+                with lock:
+                    calls.append(kind)
+                return fn(buffer, coeff)
+            return wrapper
+
+        monkeypatch.setattr(dsrkit.sampling, "tempo_change", counted(tempo_change, "tempo"))
+        monkeypatch.setattr(dsrkit.sampling, "pitch_shift", counted(pitch_shift, "pitch"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # 5 utterances, 2 per batch: 5 pulls span 3 epochs, so anchors repeat.
+            gen = iter_batches(small_pool, batch_size=2, seed=9, cache={})
+            seen = set()
+            for _ in range(5):
+                seen |= requests_of(next(gen))
+                # No look-ahead into the next batch, no request run twice.
+                assert len(calls) == len(seen)
+        finally:
+            sys.setswitchinterval(interval)
+        assert "pitch" in calls and "tempo" in calls
+
+    def test_missing_severity_rejected_in_batch(self, small_pool):
+        pool = small_pool + [tone_utt("x1", "female", None, 200.0, "x1-0")]
+        with pytest.raises(ParameterError, match="has no severity"):
+            next(iter_batches(pool, batch_size=len(pool), seed=0, cache={}))
