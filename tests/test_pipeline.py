@@ -20,6 +20,7 @@ from dsrkit.audio import (
     synth_voice,
     write_wav,
 )
+from dsrkit.augment import pitch_shift
 from dsrkit.cli import main
 from dsrkit.encoder import (
     add_grads,
@@ -57,7 +58,6 @@ from dsrkit.pipeline import (
     synth_corpus,
     write_manifest,
 )
-from dsrkit.augment import pitch_shift
 from dsrkit.sampling import Utterance, coeffs_for
 
 TINY = RunConfig(corpus_speakers=4, utterances_per_speaker=3, duration_s=0.5,
