@@ -80,29 +80,21 @@ def _augment_requests(anchor: Utterance):
     return coeffs, requests
 
 
-def _augment(utt: Utterance, kind: str, coeff: float) -> AudioBuffer:
-    augment = tempo_change if kind == "tempo" else pitch_shift
-    return augment(utt.buffer, coeff)
-
-
-def _cached_augment(cache: dict, utt: Utterance, kind: str, coeff: float) -> AudioBuffer:
-    key = (utt.utterance_id, kind, coeff)
-    if key not in cache:
-        cache[key] = _augment(utt, kind, coeff)
-    return cache[key]
-
-
 def _prefetch(anchors, cache: dict) -> None:
     """Put every augment the anchors need and cache lacks into cache, each
     distinct request computed once, on the worker pool."""
-    missing = {}  # cache key -> anchor, in anchor order
+    missing = {}  # cache key -> anchor buffer, in anchor order
     for anchor in anchors:
         for kind, coeff in _augment_requests(anchor)[1]:
             key = (anchor.utterance_id, kind, coeff)
             if key not in cache:
-                missing.setdefault(key, anchor)
-    buffers = pmap(lambda key: _augment(missing[key], *key[1:]), list(missing))
-    cache.update(zip(missing, buffers))
+                missing.setdefault(key, anchor.buffer)
+
+    def augment(key):
+        _, kind, coeff = key
+        return (tempo_change if kind == "tempo" else pitch_shift)(missing[key], coeff)
+
+    cache.update(zip(missing, pmap(augment, list(missing))))
 
 
 def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
@@ -113,7 +105,8 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
     cache keeps the augmented audio under the anchor's utterance_id.
     """
     coeffs, requests = _augment_requests(anchor)
-    augmented = {kind: replace(anchor, buffer=_cached_augment(cache, anchor, kind, coeff),
+    _prefetch([anchor], cache)  # nothing left to do when iter_batches prefetched
+    augmented = {kind: replace(anchor, buffer=cache[(anchor.utterance_id, kind, coeff)],
                                utterance_id=f"{anchor.utterance_id}#{kind}{coeff}")
                  for kind, coeff in requests}
     positive = augmented["tempo"]

@@ -2,6 +2,7 @@
 targets must still exist, or a traced benchmark run fails."""
 
 import runpy
+import threading
 from pathlib import Path
 
 import dsrkit
@@ -32,7 +33,22 @@ def test_traced_experiment_matches_untraced(tmp_path):
         ge2e_m_utterances=2, ge2e_iterations=3, batch_size=4, triplet_iterations=2,
         holdout_per_speaker=2)
     untraced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "plain")
-    tracer = tracing["Tracer"](
+
+    class LockedTracer(tracing["Tracer"]):
+        # Tracer.begin appends a span and then reads spans[-1] with no lock,
+        # and pool threads call traced names; the lock keeps each thread's
+        # span its own, so the counts below cannot vary from run to run.
+        lock = threading.Lock()
+
+        def begin(self, name):
+            with self.lock:
+                return super().begin(name)
+
+        def end(self, span):
+            with self.lock:
+                super().end(span)
+
+    tracer = LockedTracer(
         tracing["stage_targets"](dsrkit) + tracing["layer_targets"](dsrkit), full=True)
     with tracer.installed():
         traced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "traced")
