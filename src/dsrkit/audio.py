@@ -153,12 +153,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int,
-                   fmin: float = 0.0, fmax=None) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1), peak 1."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+def mel_filterbank(n_mels: int, sample_rate: int, n_fft: int) -> np.ndarray:
+    """Triangular mel filterbank from 0 Hz to Nyquist, shape
+    (n_mels, n_fft // 2 + 1), peak 1."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
     fb = np.zeros((n_mels, len(freqs)))
     for m in range(n_mels):

@@ -30,6 +30,7 @@ Checkpoint layout (version 1, all little-endian):
   name length uint32 | name UTF-8 | element count uint64 | float64 data.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -332,18 +333,25 @@ def sgd_step(params: EncoderParams, grads: dict, lr: float, clip: float) -> Enco
     return EncoderParams(params.config, tensors)
 
 
-def save_checkpoint(params: EncoderParams, path) -> None:
-    cfg = params.config
-    out = [CHECKPOINT_MAGIC, struct.pack("<i", CHECKPOINT_VERSION)]
-    out.append(struct.pack("<5i", cfg.n_layers, cfg.hidden_dim, cfg.embed_dim,
-                           cfg.input_dim, cfg.seed))
+def _layout(cfg: EncoderConfig):
+    """Each tensor of a checkpoint in file order: its name, its shape and the
+    record head its float64 data follows (name length uint32, UTF-8 name,
+    element count uint64). The writer writes these heads; the reader
+    requires them byte for byte."""
+    shapes = _tensor_shapes(cfg)
     for name in tensor_order(cfg):
         raw = name.encode("utf-8")
-        data = np.ascontiguousarray(params.tensors[name], dtype="<f8")
-        out.append(struct.pack("<I", len(raw)))
-        out.append(raw)
-        out.append(struct.pack("<Q", data.size))
-        out.append(data.tobytes())
+        count = math.prod(shapes[name])
+        yield name, shapes[name], struct.pack("<I", len(raw)) + raw + struct.pack("<Q", count)
+
+
+def save_checkpoint(params: EncoderParams, path) -> None:
+    cfg = params.config
+    out = [CHECKPOINT_MAGIC, struct.pack("<i", CHECKPOINT_VERSION),
+           struct.pack("<5i", cfg.n_layers, cfg.hidden_dim, cfg.embed_dim,
+                       cfg.input_dim, cfg.seed)]
+    for name, _, head in _layout(cfg):
+        out += [head, np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(out))
 
@@ -371,29 +379,17 @@ def load_checkpoint(path) -> EncoderParams:
         raise FormatError(
             f"{path}: header needs at least {least} bytes, file has {len(blob)}")
     cfg = EncoderConfig(n_layers, hidden, embed, input_dim, seed)
-    shapes = _tensor_shapes(cfg)
     tensors = {}
     offset = _HEADER_BYTES
-    for name in tensor_order(cfg):
-        raw = name.encode("utf-8")
-        end = offset + 4 + len(raw) + 8
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated checkpoint before {name}")
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        stored = blob[offset + 4:offset + 4 + name_len]
-        if stored != raw:
-            raise FormatError(f"{path}: expected tensor {name}, found {stored!r}")
-        (count,) = struct.unpack_from("<Q", blob, end - 8)
-        offset = end
-        shape = shapes[name]
-        expected = int(np.prod(shape))
-        if count != expected:
-            raise FormatError(f"{path}: {name} has {count} values, expected {expected}")
-        end = offset + 8 * count
-        if end > len(blob):
+    for name, shape, head in _layout(cfg):
+        start = offset + len(head)
+        if blob[offset:start] != head:
+            raise FormatError(f"{path}: expected the head of tensor {name} ({head!r}), "
+                              f"found {blob[offset:start]!r}")
+        offset = start + 8 * math.prod(shape)
+        if offset > len(blob):
             raise FormatError(f"{path}: truncated data for {name}")
-        tensors[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
+        tensors[name] = np.frombuffer(blob[start:offset], dtype="<f8").reshape(shape).copy()
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after tensors")
     return EncoderParams(cfg, tensors)

@@ -111,24 +111,25 @@ def ge2e_loss(embeddings, scale: Ge2eScale):
     return loss, demb, float(np.sum(dsim * cos)), float(np.sum(dsim))
 
 
-def validate_logprobs(logprobs, tol: float = 1e-9) -> None:
-    """Each row must log-normalize: logsumexp(row) = 0 within tol."""
+def validate_logprobs(logprobs) -> None:
+    """Each row must log-normalize: logsumexp(row) = 0 within 1e-9."""
     lp = np.asarray(logprobs, dtype=np.float64)
     if lp.ndim != 2:
         raise ShapeError("log-probability sequence must be a (T, K) matrix")
     top = np.max(lp, axis=1)
     lse = top + np.log(np.sum(np.exp(lp - top[:, None]), axis=1))
-    if np.any(np.abs(lse) > tol):
+    if np.any(np.abs(lse) > 1e-9):
         raise ValidationError("log-probability rows do not normalize to 1")
 
 
-def ctc_loss(logprobs, target, blank: int = 0, validate: bool = True):
+def ctc_loss(logprobs, target, validate: bool = True):
     """Negative log total probability of all alignments collapsing to target.
 
-    Forward algorithm in log space over the blank-extended label sequence;
-    the gradient w.r.t. the log-probabilities comes from forward-backward
-    state occupancies. Set validate=False to treat the inputs as free
-    variables (finite-difference probes break row normalization).
+    Symbol 0 is the blank. Forward algorithm in log space over the
+    blank-extended label sequence; the gradient w.r.t. the log-probabilities
+    comes from forward-backward state occupancies. Set validate=False to
+    treat the inputs as free variables (finite-difference probes break row
+    normalization).
     """
     lp = np.asarray(logprobs, dtype=np.float64)
     if lp.ndim != 2:
@@ -136,8 +137,9 @@ def ctc_loss(logprobs, target, blank: int = 0, validate: bool = True):
     n_steps, n_symbols = lp.shape
     if n_steps < 1:
         raise EmptyInputError("need at least one time step")
-    if not 0 <= blank < n_symbols:
-        raise ParameterError(f"blank index {blank} outside alphabet of {n_symbols}")
+    blank = 0
+    if n_symbols < 1:
+        raise ParameterError(f"alphabet of {n_symbols} symbols cannot hold the blank")
     labels = [int(s) for s in target]
     for s in labels:
         if not 0 <= s < n_symbols:

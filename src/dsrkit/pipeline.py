@@ -74,61 +74,54 @@ VOCAB = ("the", "north", "wind", "sun", "rain", "bright", "river",
 # Run configuration
 
 
-def _ini(section: str, default):
+def _ini(section: str, default, low):
     """A RunConfig field read from INI ``[section]``, under the field name
-    without its ``section_`` prefix."""
-    return field(default=default, metadata={"section": section})
+    without its ``section_`` prefix; low is its bound: "positive",
+    "nonnegative" or None."""
+    return field(default=default, metadata={"section": section, "low": low})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    sample_rate: int = _ini("audio", 16000)
-    n_mels: int = _ini("audio", 20)
-    win_s: float = _ini("audio", 0.025)
-    hop_s: float = _ini("audio", 0.010)
-    n_layers: int = _ini("encoder", 2)
-    hidden_dim: int = _ini("encoder", 32)
-    embed_dim: int = _ini("encoder", 16)
-    ge2e_n_speakers: int = _ini("ge2e", 4)
-    ge2e_m_utterances: int = _ini("ge2e", 4)
-    ge2e_iterations: int = _ini("ge2e", 300)
-    ge2e_lr: float = _ini("ge2e", 0.05)
-    ge2e_clip: float = _ini("ge2e", 3.0)
-    ge2e_scale_lr: float = _ini("ge2e", 0.01)
-    alpha: float = _ini("triplet", 0.3)
-    batch_size: int = _ini("triplet", 64)
-    triplet_iterations: int = _ini("triplet", 300)
-    triplet_lr: float = _ini("triplet", 0.02)
-    triplet_clip: float = _ini("triplet", 3.0)
+    sample_rate: int = _ini("audio", 16000, "positive")
+    n_mels: int = _ini("audio", 20, "positive")
+    win_s: float = _ini("audio", 0.025, "positive")
+    hop_s: float = _ini("audio", 0.010, "positive")
+    n_layers: int = _ini("encoder", 2, "positive")
+    hidden_dim: int = _ini("encoder", 32, "positive")
+    embed_dim: int = _ini("encoder", 16, "positive")
+    ge2e_n_speakers: int = _ini("ge2e", 4, "positive")
+    ge2e_m_utterances: int = _ini("ge2e", 4, "positive")
+    ge2e_iterations: int = _ini("ge2e", 300, "nonnegative")
+    ge2e_lr: float = _ini("ge2e", 0.05, "positive")
+    ge2e_clip: float = _ini("ge2e", 3.0, "positive")
+    ge2e_scale_lr: float = _ini("ge2e", 0.01, "positive")
+    alpha: float = _ini("triplet", 0.3, "nonnegative")
+    batch_size: int = _ini("triplet", 64, "positive")
+    triplet_iterations: int = _ini("triplet", 300, "nonnegative")
+    triplet_lr: float = _ini("triplet", 0.02, "positive")
+    triplet_clip: float = _ini("triplet", 3.0, "positive")
     # The one key that is not the field name without its section prefix.
     corpus_speakers: int = field(default=8,
-                                 metadata={"section": "corpus", "key": "n_speakers"})
-    utterances_per_speaker: int = _ini("corpus", 10)
-    duration_s: float = _ini("corpus", 1.0)
-    severity: str = _ini("corpus", "moderate_severe")
-    female_f0_min: float = _ini("corpus", FEMALE_F0_RANGE[0])
-    female_f0_max: float = _ini("corpus", FEMALE_F0_RANGE[1])
-    male_f0_min: float = _ini("corpus", MALE_F0_RANGE[0])
-    male_f0_max: float = _ini("corpus", MALE_F0_RANGE[1])
-    seed: int = _ini("run", 0)
-    holdout_per_speaker: int = _ini("run", 2)
+                                 metadata={"section": "corpus", "key": "n_speakers",
+                                           "low": "positive"})
+    utterances_per_speaker: int = _ini("corpus", 10, "positive")
+    duration_s: float = _ini("corpus", 1.0, "positive")
+    severity: str = _ini("corpus", "moderate_severe", None)
+    female_f0_min: float = _ini("corpus", FEMALE_F0_RANGE[0], None)
+    female_f0_max: float = _ini("corpus", FEMALE_F0_RANGE[1], None)
+    male_f0_min: float = _ini("corpus", MALE_F0_RANGE[0], None)
+    male_f0_max: float = _ini("corpus", MALE_F0_RANGE[1], None)
+    seed: int = _ini("run", 0, None)
+    holdout_per_speaker: int = _ini("run", 2, "nonnegative")
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
+            value, low = getattr(self, f.name), f.metadata["low"]
+            if f.type is float and not math.isfinite(value):
                 raise ValidationError(f"config field {f.name} must be finite")
-        positive = ("sample_rate", "n_mels", "win_s", "hop_s", "n_layers",
-                    "hidden_dim", "embed_dim", "ge2e_n_speakers",
-                    "ge2e_m_utterances", "ge2e_lr", "ge2e_clip", "ge2e_scale_lr",
-                    "batch_size", "triplet_lr", "triplet_clip", "corpus_speakers",
-                    "utterances_per_speaker", "duration_s")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"config field {name} must be positive")
-        for name in ("alpha", "ge2e_iterations", "triplet_iterations",
-                     "holdout_per_speaker"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"config field {name} must be nonnegative")
+            if low == "positive" and value <= 0 or low == "nonnegative" and value < 0:
+                raise ValidationError(f"config field {f.name} must be {low}")
         # numpy seeds must be >= 0; the checkpoint header stores an int32.
         if not 0 <= self.seed <= 2**31 - 1:
             raise ValidationError(f"seed {self.seed} outside [0, 2**31 - 1]")
@@ -227,20 +220,36 @@ class ManifestRecord:
     transcript: str
 
 
-_MANIFEST_FIELDS = ("wav_path", "speaker_id", "gender", "severity", "transcript")
-
-
-def _check_speaker(speakers: dict, where: str, name: str, speaker_id: str, gender: str,
-                   severity: str) -> None:
-    """A manifest gives each speaker one gender and one severity. speakers
-    maps speaker_id to (name, gender, severity) of its first entry; where
-    and name locate this entry in the error and in later ones."""
+def _parse_line(line: str, base: Path, speakers: dict, where: str,
+                name: str) -> ManifestRecord:
+    """One manifest line as a record, by every rule a line must keep: five
+    tab-separated fields, a speaker, a known gender and severity, one gender
+    and one severity per speaker, and a WAV that exists, resolved against
+    base. speakers maps speaker_id to (name, gender, severity) of its first
+    line; where and name locate this line in the error and in later ones."""
+    parts = line.split("\t")
+    if len(parts) != 5:
+        raise ManifestError(f"{where}: expected 5 fields, got {len(parts)}")
+    wav, speaker_id, gender, severity, transcript = parts
+    if not speaker_id:
+        raise ManifestError(f"{where}: empty speaker_id")
+    if gender not in GENDERS:
+        raise ManifestError(f"{where}: unknown gender {gender!r}")
+    if severity != "none" and severity not in SEVERITIES:
+        raise ManifestError(f"{where}: unknown severity {severity!r}")
     first, *seen = speakers.setdefault(speaker_id, (name, gender, severity))
     if seen != [gender, severity]:
         raise ManifestError(
             f"{where}: speaker {speaker_id} has conflicting metadata: "
             f"{gender}/{severity} here, {seen[0]}/{seen[1]} at {first}"
         )
+    wav_path = Path(wav)
+    if not wav_path.is_absolute():
+        wav_path = base / wav_path
+    if not wav_path.is_file():
+        raise ManifestError(f"{where}: missing wav file {wav_path}")
+    return ManifestRecord(str(wav_path), speaker_id, gender,
+                          None if severity == "none" else severity, transcript)
 
 
 def load_manifest(path) -> list:
@@ -253,42 +262,21 @@ def load_manifest(path) -> list:
         raise ManifestError(f"{path}: cannot read manifest ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: manifest is not UTF-8 ({exc})") from exc
-    records = []
-    speakers = {}  # speaker_id -> (first line, gender, severity)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ManifestError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        wav, speaker_id, gender, severity, transcript = parts
-        if not speaker_id:
-            raise ManifestError(f"{path}:{lineno}: empty speaker_id")
-        if gender not in GENDERS:
-            raise ManifestError(f"{path}:{lineno}: unknown gender {gender!r}")
-        if severity != "none" and severity not in SEVERITIES:
-            raise ManifestError(f"{path}:{lineno}: unknown severity {severity!r}")
-        _check_speaker(speakers, f"{path}:{lineno}", f"line {lineno}",
-                       speaker_id, gender, severity)
-        wav_path = Path(wav)
-        if not wav_path.is_absolute():
-            wav_path = path.parent / wav_path
-        if not wav_path.is_file():
-            raise ManifestError(f"{path}:{lineno}: missing wav file {wav_path}")
-        records.append(ManifestRecord(str(wav_path), speaker_id, gender,
-                                      None if severity == "none" else severity,
-                                      transcript))
+    speakers = {}
+    records = [_parse_line(line, path.parent, speakers, f"{path}:{lineno}", f"line {lineno}")
+               for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not records:
         raise ManifestError(f"{path}: manifest has no records")
     return records
 
 
 def write_manifest(records, path) -> Path:
-    """Write records with wav paths relative to the manifest directory;
-    records that load_manifest would reject are refused before writing."""
+    """Write records with wav paths relative to the manifest directory.
+    Every line is first checked by load_manifest's own rules, so a list
+    that load_manifest would reject (or an empty one) writes nothing."""
     path = Path(path)
     lines = []
-    speakers = {}  # speaker_id -> (first record, gender, severity)
+    speakers = {}
     for index, r in enumerate(records):
         wav = Path(r.wav_path)
         try:
@@ -296,23 +284,15 @@ def write_manifest(records, path) -> Path:
         except ValueError:
             pass  # outside the manifest tree; keep as given
         severity = r.severity if r.severity is not None else "none"
-        fields = (wav.as_posix(), r.speaker_id, r.gender, severity, r.transcript)
-        for name, value in zip(_MANIFEST_FIELDS, fields):
-            if "\t" in value:
-                raise ManifestError(f"tab character in {name} {value!r}")
-            # A value without line breaks splits into itself (or nothing, if
-            # empty); load_manifest splits lines with this same rule.
-            if value.splitlines() not in ([], [value]):
-                raise ManifestError(f"line break in {name} {value!r}")
-        if not r.speaker_id:
-            raise ManifestError("empty speaker_id")
-        if r.gender not in GENDERS:
-            raise ManifestError(f"unknown gender {r.gender!r}")
-        if severity != "none" and severity not in SEVERITIES:
-            raise ManifestError(f"unknown severity {severity!r}")
+        line = "\t".join((wav.as_posix(), r.speaker_id, r.gender, severity, r.transcript))
         name = f"record {index} ({r.wav_path})"
-        _check_speaker(speakers, name, name, r.speaker_id, r.gender, severity)
-        lines.append("\t".join(fields))
+        # load_manifest splits lines with this same rule.
+        if line.splitlines() != [line]:
+            raise ManifestError(f"{name}: line break in {line!r}")
+        _parse_line(line, path.parent, speakers, name, name)
+        lines.append(line)
+    if not lines:
+        raise ManifestError(f"{path}: manifest has no records")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

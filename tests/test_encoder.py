@@ -1,6 +1,7 @@
 """Encoder: FD and per-step reference oracles, init/step contracts,
 checkpoint round-trips and malformed checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -563,6 +564,50 @@ class TestCheckpoint:
             load_checkpoint(path)
         except DsrkitError:
             pass
+
+    def test_one_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "tail.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("part", ["name length", "name byte", "element count"])
+    def test_corrupt_record_head_names_its_tensor(self, tmp_path, part):
+        """Walk the documented layout (28-byte header, then per tensor a
+        uint32 name length, the name, a uint64 count and the float64 data),
+        corrupt one part of each tensor's head in turn, and expect an error
+        that names that tensor."""
+        path = tmp_path / "head.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = path.read_bytes()
+        params = init_params(SMALL)
+        offset = 28
+        for name in tensor_order(SMALL):
+            raw = name.encode("utf-8")
+            where = {"name length": offset, "name byte": offset + 4 + len(raw) - 1,
+                     "element count": offset + 4 + len(raw)}[part]
+            changed = bytearray(blob)
+            changed[where] ^= 1
+            path.write_bytes(bytes(changed))
+            with pytest.raises(FormatError, match=re.escape(name)):
+                load_checkpoint(path)
+            offset += 4 + len(raw) + 8 + 8 * params.tensors[name].size
+        assert offset == len(blob)
+
+    def test_cut_inside_last_record_head_names_its_tensor(self, tmp_path):
+        """A file cut inside proj.b's head is still long enough for the
+        header's size bound (which does not count name bytes), so the
+        record head check must catch it."""
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = path.read_bytes()
+        head = 4 + len(b"proj.b") + 8
+        start = len(blob) - 8 * SMALL.embed_dim - head
+        for cut in range(start, start + head):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError, match=re.escape("proj.b")):
+                load_checkpoint(path)
 
     def test_tensor_order_is_layerwise_then_projection(self):
         assert tensor_order(SMALL) == [

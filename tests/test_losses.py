@@ -346,6 +346,10 @@ class TestCtcLoss:
         with pytest.raises(ValidationError):
             ctc_loss(np.zeros((2, 2)), [1])
 
+    def test_alphabet_without_room_for_the_blank_rejected(self):
+        with pytest.raises(ParameterError, match="blank"):
+            ctc_loss(np.zeros((2, 0)), [])
+
     def test_empty_target_counts_all_blank_paths(self):
         rng = np.random.default_rng(10)
         lp = normalized_logprobs(rng, 3, 3)

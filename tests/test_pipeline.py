@@ -101,18 +101,39 @@ class TestManifest:
         assert "\tnone\t" in path.read_text(encoding="utf-8")
         assert load_manifest(path)[0].severity is None
 
-    @settings(max_examples=200, deadline=None)
-    @given(speaker_id=st.text(), transcript=st.text())
-    def test_write_load_round_trip_or_rejected(self, tiny_corpus, tmp_path_factory,
-                                               speaker_id, transcript):
-        _, records = tiny_corpus
-        record = ManifestRecord(records[0].wav_path, speaker_id, "male", None, transcript)
-        path = tmp_path_factory.mktemp("rt") / "m.tsv"
+    @settings(max_examples=300, deadline=None)
+    @given(wav_name=st.text(st.sampled_from("ab \u00e9\u8a9e"), min_size=1, max_size=8)
+           | st.text(st.sampled_from("a \t\n\u2028"), min_size=1, max_size=4),
+           inside=st.booleans(), exists=st.booleans(), speaker_id=st.text(),
+           gender=st.sampled_from(["female", "male"])
+           | st.sampled_from(["other", "", "Female", "male "]),
+           severity=st.sampled_from([None, "none", "moderate", "moderate_severe"])
+           | st.sampled_from(["severe", "", "None"]),
+           transcript=st.text())
+    def test_write_load_round_trip_or_rejected(
+            self, tmp_path_factory, wav_name, inside, exists, speaker_id, gender,
+            severity, transcript):
+        """Every field drawn from valid and invalid values: a record is
+        either refused, leaving no file, or loads back equal. The WAV sits
+        in the manifest's directory (written relative) or beside it
+        (written absolute). The file spells no severity "none", so that
+        string loads as None."""
+        base = tmp_path_factory.mktemp("rt")
+        for sub in ("m", "other"):
+            (base / sub).mkdir()
+        wav = base / ("m" if inside else "other") / wav_name
+        if exists:
+            wav.write_bytes(b"")
+        path = base / "m" / "m.tsv"
+        record = ManifestRecord(str(wav), speaker_id, gender, severity, transcript)
         try:
             write_manifest([record], path)
         except ManifestError:
+            assert not path.exists()
             return
-        assert load_manifest(path) == [record]
+        expected = dataclasses.replace(record, severity=None if severity == "none"
+                                       else severity)
+        assert load_manifest(path) == [expected]
 
     @pytest.mark.parametrize("field,value", [("speaker_id", ""), ("gender", "other"),
                                              ("severity", "severe")])
@@ -196,6 +217,37 @@ class TestManifest:
                                    f"metadata: {meta} at record 0 ({s1[0].wav_path})")
         assert not path.exists()
 
+    def test_write_refuses_empty_list(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        with pytest.raises(ManifestError, match="no records"):
+            write_manifest([], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_write_refuses_missing_wav(self, tmp_path, monkeypatch, relative):
+        """A relative wav path is resolved against the manifest's directory,
+        as load_manifest resolves it, not against the working directory."""
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        Path("clip.wav").write_bytes(b"")
+        wav = "clip.wav" if relative else str(tmp_path / "out" / "clip.wav")
+        path = tmp_path / "out" / "m.tsv"
+        with pytest.raises(ManifestError, match="missing wav file"):
+            write_manifest([ManifestRecord(wav, "s1", "female", None, "hi")], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["wav_path", "speaker_id", "gender", "severity",
+                                       "transcript"])
+    def test_tab_in_any_field_rejected(self, tiny_corpus, tmp_path, field):
+        _, records = tiny_corpus
+        good = ManifestRecord(records[0].wav_path, "s1", "female", "moderate", "hi")
+        bad = dataclasses.replace(good, **{field: getattr(good, field) + "\t"})
+        path = tmp_path / "tab.tsv"
+        with pytest.raises(ManifestError, match="expected 5 fields, got 6"):
+            write_manifest([bad], path)
+        assert not path.exists()
+
 
 class TestConfig:
     def test_defaults_load_without_file(self):
@@ -276,6 +328,23 @@ class TestConfig:
             RunConfig(n_mels=0)
         with pytest.raises(ValidationError):
             RunConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize("name", [
+        "sample_rate", "n_mels", "win_s", "hop_s", "n_layers", "hidden_dim",
+        "embed_dim", "ge2e_n_speakers", "ge2e_m_utterances", "ge2e_lr", "ge2e_clip",
+        "ge2e_scale_lr", "batch_size", "triplet_lr", "triplet_clip", "corpus_speakers",
+        "utterances_per_speaker", "duration_s"])
+    def test_positive_field_bound(self, name):
+        for value in (0, -1):
+            with pytest.raises(ValidationError, match=f"field {name} must be positive"):
+                RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["alpha", "ge2e_iterations", "triplet_iterations",
+                                      "holdout_per_speaker"])
+    def test_nonnegative_field_bound(self, name):
+        with pytest.raises(ValidationError, match=f"field {name} must be nonnegative"):
+            RunConfig(**{name: -1})
+        assert getattr(RunConfig(**{name: 0}), name) == 0
 
     def test_seed_outside_int32_range_rejected(self):
         for seed in (-1, 2**31):
