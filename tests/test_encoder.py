@@ -579,9 +579,9 @@ class TestCheckpoint:
         corrupt one part of each tensor's head in turn, and expect an error
         that names that tensor."""
         path = tmp_path / "head.ckpt"
-        save_checkpoint(init_params(SMALL), path)
-        blob = path.read_bytes()
         params = init_params(SMALL)
+        save_checkpoint(params, path)
+        blob = path.read_bytes()
         offset = 28
         for name in tensor_order(SMALL):
             raw = name.encode("utf-8")
