@@ -154,8 +154,13 @@ class BatchTrace:
     embeddings: np.ndarray     # (B, E), rows unit-norm
 
 
-def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
-    """Run the full encoder over a (B, T, input_dim) stack."""
+def forward_batch(params: EncoderParams, stack: np.ndarray, out=None) -> BatchTrace:
+    """Run the full encoder over a (B, T, input_dim) stack.
+
+    out, the trace of an earlier call on a stack of the same shape, lends
+    its gate, cell-state, tanh(c) and h arrays: they are overwritten and
+    returned in the new trace, so out must not be used after the call.
+    """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise ShapeError(f"expected a (B, T, D) stack, got ndim {stack.ndim}")
@@ -164,22 +169,28 @@ def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
         raise ShapeError(f"frame width {stack.shape[2]} != input_dim {cfg.input_dim}")
     if stack.shape[0] < 1 or stack.shape[1] < 1:
         raise EmptyInputError("batch and frame count must both be nonzero")
+    if out is not None and out.stack.shape != stack.shape:
+        raise ShapeError(f"out traced a {out.stack.shape} stack, not {stack.shape}")
     B, T, _ = stack.shape
     H = cfg.hidden_dim
     scale, offset = _gate_affine(H, B)
     row_scale = scale[:, :1]
     x = stack.transpose(1, 2, 0)
     layer_inputs, gates_all, c_prevs_all, tanh_cs_all, hs_all = [], [], [], [], []
+    ig = np.empty((H, B))
+    c_last = np.empty((H, B))  # the cell state leaving the last step
     for layer in range(cfg.n_layers):
+        if out is None:
+            gates, c_prevs = np.empty((T, 4 * H, B)), np.empty((T, H, B))
+            tanh_cs, hs = np.empty((T, H, B)), np.empty((T, H, B))
+        else:
+            gates, c_prevs = out.gates[layer], out.c_prevs[layer]
+            tanh_cs, hs = out.tanh_cs[layer], out.hs[layer]
         wh = row_scale * params.tensors[f"lstm{layer}.w_h"]
         # Input projection for every step at once; the loop adds only W_h h.
-        gates = np.matmul(row_scale * params.tensors[f"lstm{layer}.w_x"], x)
+        np.matmul(row_scale * params.tensors[f"lstm{layer}.w_x"], x, out=gates)
         gates += scale * params.tensors[f"lstm{layer}.b"][:, None]
-        cs = np.empty((T + 1, H, B))  # cs[t] enters step t, cs[t + 1] leaves it
-        cs[0] = 0.0
-        tanh_cs = np.empty((T, H, B))
-        hs = np.empty((T, H, B))
-        ig = np.empty((H, B))
+        c_prevs[0] = 0.0
         for t in range(T):
             a = gates[t]  # activated in place
             if t:
@@ -187,14 +198,15 @@ def forward_batch(params: EncoderParams, stack: np.ndarray) -> BatchTrace:
             np.tanh(a, out=a)
             a *= scale
             a += offset
-            np.multiply(a[H:2 * H], cs[t], out=cs[t + 1])
+            c = c_prevs[t + 1] if t + 1 < T else c_last
+            np.multiply(a[H:2 * H], c_prevs[t], out=c)
             np.multiply(a[:H], a[2 * H:3 * H], out=ig)
-            cs[t + 1] += ig
-            np.tanh(cs[t + 1], out=tanh_cs[t])
+            c += ig
+            np.tanh(c, out=tanh_cs[t])
             np.multiply(a[3 * H:], tanh_cs[t], out=hs[t])
         layer_inputs.append(x)
         gates_all.append(gates)
-        c_prevs_all.append(cs[:T])
+        c_prevs_all.append(c_prevs)
         tanh_cs_all.append(tanh_cs)
         hs_all.append(hs)
         x = hs

@@ -263,29 +263,35 @@ def load_manifest(path) -> list:
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: manifest is not UTF-8 ({exc})") from exc
     speakers = {}
+    # A blank line has no tab; a line of tabs alone is five empty fields.
     records = [_parse_line(line, path.parent, speakers, f"{path}:{lineno}", f"line {lineno}")
-               for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+               for lineno, line in enumerate(text.splitlines(), start=1)
+               if "\t" in line or line.strip()]
     if not records:
         raise ManifestError(f"{path}: manifest has no records")
     return records
 
 
 def write_manifest(records, path) -> Path:
-    """Write records with wav paths relative to the manifest directory.
-    Every line is first checked by load_manifest's own rules, so a list
-    that load_manifest would reject (or an empty one) writes nothing."""
+    """Write records with wav paths relative to the manifest directory; a
+    record's relative wav_path names a file in the working directory, as
+    read_wav reads it. Every line is first checked by load_manifest's own
+    rules, so a list that load_manifest would reject (or an empty one)
+    writes nothing. A record spells no severity None, never "none"."""
     path = Path(path)
     lines = []
     speakers = {}
     for index, r in enumerate(records):
-        wav = Path(r.wav_path)
+        name = f"record {index} ({r.wav_path})"
+        if r.severity == "none":
+            raise ManifestError(f"{name}: severity 'none' would load as None; pass None")
+        wav = Path(r.wav_path).absolute()
         try:
-            wav = wav.relative_to(path.parent)
+            wav = wav.relative_to(path.parent.absolute())
         except ValueError:
-            pass  # outside the manifest tree; keep as given
+            pass  # outside the manifest tree; kept absolute
         severity = r.severity if r.severity is not None else "none"
         line = "\t".join((wav.as_posix(), r.speaker_id, r.gender, severity, r.transcript))
-        name = f"record {index} ({r.wav_path})"
         # load_manifest splits lines with this same rule.
         if line.splitlines() != [line]:
             raise ManifestError(f"{name}: line break in {line!r}")
@@ -392,25 +398,36 @@ def mel_for(utt: Utterance, config: RunConfig, cache: dict):
     return cache[key]
 
 
-def _grouped_forward(params, mels):
+def _grouped_forward(params, mels, previous=None):
     """Encode a mixed-length list by grouping equal frame counts, each
     distinct mel object once (mel_for returns one object per utterance).
 
     Returns (embeddings row-aligned with mels, groups) where groups maps
     frame count -> (row indices, encoded index of each row, trace) for the
-    matching backward pass.
+    matching backward pass. previous, the groups of an earlier call, is
+    emptied: a trace whose stack shape recurs is overwritten in place, and
+    every other is dropped before any new trace is allocated, so a caller
+    that passes its last groups holds one call's traces at a time.
     """
     by_len = {}
     for row, m in enumerate(mels):
         by_len.setdefault(m.frames.shape[0], []).append(row)
-    embeddings = np.empty((len(mels), params.config.embed_dim))
-    groups = {}
-    for n_frames in sorted(by_len):
-        rows = by_len[n_frames]
+    plan = {}
+    for n_frames, rows in by_len.items():
         distinct = {}  # id of each distinct mel -> (its row in the stack, mel)
         index = [distinct.setdefault(id(mels[r]), (len(distinct), mels[r]))[0]
                  for r in rows]
-        trace = forward_batch(params, np.stack([m.frames for _, m in distinct.values()]))
+        plan[n_frames] = (rows, index, [m.frames for _, m in distinct.values()])
+    shapes = {n: (len(frames),) + frames[0].shape for n, (_, _, frames) in plan.items()}
+    reusable = {n: trace for n, (_, _, trace) in (previous or {}).items()
+                if trace.stack.shape == shapes.get(n)}
+    if previous:
+        previous.clear()
+    embeddings = np.empty((len(mels), params.config.embed_dim))
+    groups = {}
+    for n_frames in sorted(plan):
+        rows, index, frames = plan[n_frames]
+        trace = forward_batch(params, np.stack(frames), out=reusable.pop(n_frames, None))
         embeddings[rows] = trace.embeddings[index]
         groups[n_frames] = (rows, index, trace)
     return embeddings, groups
@@ -445,10 +462,11 @@ def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
     out_dir is created after the last step: a stage that fails leaves none."""
     cache = {}
     lines = ["iteration,loss"]
+    groups = None  # the last step's traces, overwritten by the next step's
     for iteration, batch in enumerate(batches):
         try:
             embeddings, groups = _grouped_forward(
-                params, [mel_for(u, config, cache) for u in batch])
+                params, [mel_for(u, config, cache) for u in batch], groups)
             loss, grad_out = objective(embeddings)
             params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
         except NumericError as exc:

@@ -400,6 +400,39 @@ class TestBatching:
             npt.assert_allclose(batch[name], total[name], atol=1e-12)
 
 
+class TestTraceReuse:
+    """forward_batch(..., out=old) writes into old's arrays and computes
+    exactly what a fresh call computes."""
+
+    TRACE_FIELDS = ("layer_inputs", "gates", "c_prevs", "tanh_cs", "hs")
+    BUFFERS = ("gates", "c_prevs", "tanh_cs", "hs")
+
+    @pytest.mark.parametrize("batch,frames", [(16, 98), (5, 4), (3, 1)])
+    def test_reused_trace_is_bit_identical_and_shares_memory(self, batch, frames):
+        params = init_params(EncoderConfig(seed=batch + frames))
+        rng = np.random.default_rng(frames)
+        earlier, stack = rng.normal(size=(2, batch, frames, params.config.input_dim))
+        old = forward_batch(params, earlier)
+        lent = {name: list(getattr(old, name)) for name in self.BUFFERS}
+        fresh = forward_batch(params, stack)
+        reused = forward_batch(params, stack, out=old)
+        for name in self.TRACE_FIELDS:
+            for got, want in zip(getattr(reused, name), getattr(fresh, name), strict=True):
+                assert got.tobytes() == want.tobytes(), name
+        for name in ("pre_norm", "norms", "embeddings"):
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
+        for name, arrays in lent.items():
+            for got, old_array in zip(getattr(reused, name), arrays, strict=True):
+                assert np.shares_memory(got, old_array), name
+
+    @pytest.mark.parametrize("shape", [(4, 6, 5), (5, 7, 5)])
+    def test_mismatched_shape_rejected(self, shape):
+        params = init_params(SMALL)
+        old = forward_batch(params, np.zeros((5, 6, 5)))
+        with pytest.raises(ShapeError, match="out traced"):
+            forward_batch(params, np.zeros(shape), out=old)
+
+
 class TestInitParams:
     def test_ranges(self):
         cfg = EncoderConfig(n_layers=2, hidden_dim=16, embed_dim=8, input_dim=6, seed=1)

@@ -5,6 +5,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +117,8 @@ class TestManifest:
         """Every field drawn from valid and invalid values: a record is
         either refused, leaving no file, or loads back equal. The WAV sits
         in the manifest's directory (written relative) or beside it
-        (written absolute). The file spells no severity "none", so that
-        string loads as None."""
+        (written absolute). The file spells no severity "none", so a record
+        must spell it None, and the string "none" is refused."""
         base = tmp_path_factory.mktemp("rt")
         for sub in ("m", "other"):
             (base / sub).mkdir()
@@ -131,9 +132,8 @@ class TestManifest:
         except ManifestError:
             assert not path.exists()
             return
-        expected = dataclasses.replace(record, severity=None if severity == "none"
-                                       else severity)
-        assert load_manifest(path) == [expected]
+        assert severity != "none"
+        assert load_manifest(path) == [record]
 
     @pytest.mark.parametrize("field,value", [("speaker_id", ""), ("gender", "other"),
                                              ("severity", "severe")])
@@ -225,17 +225,54 @@ class TestManifest:
 
     @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
     def test_write_refuses_missing_wav(self, tmp_path, monkeypatch, relative):
-        """A relative wav path is resolved against the manifest's directory,
-        as load_manifest resolves it, not against the working directory."""
+        """A record's relative wav path is resolved against the working
+        directory, as read_wav resolves it, not against the manifest's."""
         (tmp_path / "cwd").mkdir()
         (tmp_path / "out").mkdir()
         monkeypatch.chdir(tmp_path / "cwd")
-        Path("clip.wav").write_bytes(b"")
-        wav = "clip.wav" if relative else str(tmp_path / "out" / "clip.wav")
+        (tmp_path / "out" / "clip.wav").write_bytes(b"")
+        wav = "clip.wav" if relative else str(tmp_path / "cwd" / "clip.wav")
         path = tmp_path / "out" / "m.tsv"
         with pytest.raises(ManifestError, match="missing wav file"):
             write_manifest([ManifestRecord(wav, "s1", "female", None, "hi")], path)
         assert not path.exists()
+
+    def test_relative_record_names_working_directory_wav(self, tmp_path, monkeypatch):
+        """Two clip.wav files: the record's, in the working directory, and
+        another in the manifest's directory. The manifest names the first."""
+        for sub, data in (("cwd", b"cwd"), ("out", b"out")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "clip.wav").write_bytes(data)
+        monkeypatch.chdir(tmp_path / "cwd")
+        path = write_manifest([ManifestRecord("clip.wav", "s1", "female", None, "hi")],
+                              tmp_path / "out" / "m.tsv")
+        [loaded] = load_manifest(path)
+        assert Path(loaded.wav_path).read_bytes() == b"cwd"
+
+    def test_relative_paths_under_manifest_directory_stay_relative(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("out/wavs").mkdir(parents=True)
+        Path("out/wavs/a.wav").write_bytes(b"")
+        path = write_manifest([ManifestRecord("out/wavs/a.wav", "s1", "female", None, "hi")],
+                              Path("out/m.tsv"))
+        assert path.read_text(encoding="utf-8") == "wavs/a.wav\ts1\tfemale\tnone\thi\n"
+
+    def test_write_refuses_string_none_severity(self, tiny_corpus, tmp_path):
+        _, records = tiny_corpus
+        path = tmp_path / "none.tsv"
+        with pytest.raises(ManifestError, match="severity 'none'"):
+            write_manifest([ManifestRecord(records[0].wav_path, "s1", "female", "none",
+                                           "hi")], path)
+        assert not path.exists()
+
+    def test_tab_only_line_is_not_blank(self, tiny_corpus, tmp_path):
+        _, records = tiny_corpus
+        path = tmp_path / "tabs.tsv"
+        path.write_text(f"{records[0].wav_path}\ts1\tfemale\tnone\thi\n \n\t\t\t\t\n",
+                        encoding="utf-8")
+        with pytest.raises(ManifestError, match=r":3: empty speaker_id"):
+            load_manifest(path)
 
     @pytest.mark.parametrize("field", ["wav_path", "speaker_id", "gender", "severity",
                                        "transcript"])
@@ -783,6 +820,24 @@ class TestTrainingLoop:
             batches=iterations, sgd_step=iterations,
             forward_batch=2 * iterations, backward_batch=2 * iterations)
 
+    def test_finetune_keeps_one_iteration_of_traces(self, pretrained, tiny_corpus,
+                                                    tmp_path):
+        """With every utterance in each batch the stack shapes repeat, so
+        later steps write into the first step's traces: four iterations
+        peak where one does."""
+        manifest, ckpt = pretrained
+        peaks = {}
+        for iterations in (1, 4):
+            config = RunConfig(**{**vars(TINY), "batch_size": len(tiny_corpus[1]),
+                                  "triplet_iterations": iterations})
+            tracemalloc.start()
+            try:
+                finetune_triplet(manifest, ckpt, config, tmp_path / f"ft{iterations}")
+                peaks[iterations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # One iteration's traces take about 6 MB here.
+        assert peaks[4] - peaks[1] < 500_000, peaks
 
     def test_finetune_encodes_each_distinct_utterance_once(self, pretrained,
                                                            tiny_corpus, tmp_path,
@@ -803,9 +858,9 @@ class TestTrainingLoop:
                 forwarded.append(0)
                 yield batch
 
-        def counting_forward(params, stack):
+        def counting_forward(params, stack, *args, **kwargs):
             forwarded[-1] += len(stack)
-            return forward_batch(params, stack)
+            return forward_batch(params, stack, *args, **kwargs)
 
         monkeypatch.setattr(dsrkit.pipeline, "iter_batches", recording_batches)
         monkeypatch.setattr(dsrkit.pipeline, "forward_batch", counting_forward)
@@ -868,9 +923,9 @@ class TestDecodeOnce:
         stacked = []
         forward_batch = dsrkit.pipeline.forward_batch
 
-        def counting_forward(params, stack):
+        def counting_forward(params, stack, *args, **kwargs):
             stacked.append(len(stack))
-            return forward_batch(params, stack)
+            return forward_batch(params, stack, *args, **kwargs)
 
         monkeypatch.setattr(dsrkit.pipeline, "forward_batch", counting_forward)
         evaluate(manifest, ckpt, TINY, tmp_path / "ev")
