@@ -5,20 +5,36 @@ differences in the test suite, and 32-bit noise would drown that signal.
 The utterance summary is the final-frame top-layer hidden state, passed
 through an affine projection and L2-normalized.
 
-The recurrence is feature-major: the state is (H, B), and the trace keeps
-each layer's activated gates as (T, 4H, B) and its c_prev, tanh(c) and h
-as (T, H, B), so every gate of every step is one contiguous (H, B) block.
-Each layer projects all T input frames with one matmul before its time
-loop, which then adds only W_h h. One tanh activates the whole gate block:
-the i, f and o rows are pre-scaled by 1/2 and mapped through
-sigmoid(a) = 0.5 * (1 + tanh(a / 2)). The backward pass writes every step's
-pre-activation gradients into one (T, 4H, B) buffer and forms the weight
-gradients, and the input gradients of the layer below, after the loop.
-This is the RNN restructuring of Appleyard et al. 2016 (arXiv:1604.01946).
+The recurrence is feature-major: the state is (H, B), so every gate of
+every step is one contiguous (H, B) block. One tanh activates the whole
+gate block: the i, f and o rows are pre-scaled by 1/2 and mapped through
+sigmoid(a) = 0.5 * (1 + tanh(a / 2)). Training and inference run the same
+cell step (_cell_step) and differ only in what they keep:
+
+- Training (forward_batch(..., keep=True)) keeps each layer's activated
+  gates as (T, 4H, B), its c_prev as (T, H, B) and its last cell state,
+  5·T·H·B floats a layer. Each layer projects all T input frames with one
+  matmul before its time loop, which then adds only W_h h.
+- Inference (keep=False) keeps the outputs only. Each step projects its
+  own input frame, and each layer writes its h over its input sequence, so
+  a pass holds one (T, H, B) array whatever the depth.
+
+The backward pass recomputes tanh(c) and h = o * tanh(c) a layer at a
+time, with one whole-sequence tanh and product into two (T, H, B) buffers;
+the second then carries the gradients into the layer below. Both act
+elementwise on the operands the forward step used, so they give its bits
+(the test suite checks this on random shapes): cheap activations are
+traded for trace memory, as in Gruslys et al. 2016 (arXiv:1606.03401) and
+Chen et al. 2016 (arXiv:1604.06174), and no result moves. The backward
+pass writes every step's pre-activation gradients into one (T, 4H, B)
+buffer and forms the weight gradients, and the input gradients of the
+layer below, after the loop. This is the RNN restructuring of Appleyard
+et al. 2016 (arXiv:1604.01946).
 
 Zero rows: a batch row whose upstream gradient is all zero contributes
 exactly zero to every parameter gradient, so the backward pass runs only
-over the live columns, gathering each step's trace blocks at them. A
+over the live columns: it gathers each step's gate and cell-state blocks
+at them and recomputes tanh(c) and h at them alone. A
 satisfied triplet (FaceNet's hinge, Schroff et al. 2015) gives all three
 of its rows a zero gradient. When every row is live the gather is the
 identity and the pass runs the full-batch operations unchanged.
@@ -136,7 +152,18 @@ def _gate_affine(hidden_dim: int, batch: int):
 
 @dataclass
 class BatchTrace:
-    """Forward-pass cache for one uniform-length batch, kept for backprop.
+    """What one forward pass over a uniform-length batch keeps.
+
+    A training trace (keep=True) keeps, per layer, the activated gates and
+    the cell state entering each step, plus the cell state leaving the last
+    step: 5·T·H·B floats. tanh(c) and h = o * tanh(c), which the backward
+    pass also needs (h is the next layer's input too), are recomputed from
+    them with the same elementwise operations, so they carry the forward
+    pass's bits. An inference trace (keep=False) has empty per-layer lists.
+    Both keep top: the top layer's last h, copied out of the h sequence as
+    an (H, B) block and viewed as (B, H). That is the layout the projection
+    has always read; a C-contiguous (B, H) copy changes the last bit of
+    some entries of top @ proj.w.T at the default H = 32.
 
     Everything but the input stack and the outputs is feature-major: time
     first, then features, then batch, so each gate of each step is one
@@ -144,21 +171,39 @@ class BatchTrace:
     """
 
     stack: np.ndarray          # (B, T, input_dim), as passed in
-    layer_inputs: list         # per layer: (T, d_in, B); layer 0 is a view of stack
     gates: list                # per layer: (T, 4H, B) activated, rows i|f|g|o
     c_prevs: list              # per layer: (T, H, B) cell state entering step t
-    tanh_cs: list              # per layer: (T, H, B)
-    hs: list                   # per layer: (T, H, B)
+    c_lasts: list              # per layer: (H, B) cell state leaving step T - 1
+    top: np.ndarray            # (B, H) top layer's last h, a view of an (H, B) block
     pre_norm: np.ndarray       # (B, E)
     norms: np.ndarray          # (B,)
     embeddings: np.ndarray     # (B, E), rows unit-norm
 
 
-def forward_batch(params: EncoderParams, stack: np.ndarray, out=None) -> BatchTrace:
+def _cell_step(a, c_prev, c, tanh_c, ig, h, scale, offset):
+    """One LSTM step. a holds the step's (4H, B) pre-activations, rows
+    i|f|g|o, and is activated in place; c receives f * c_prev + i * g (c may
+    be c_prev), tanh_c its tanh and h the output. ig is scratch."""
+    H = len(c)
+    np.tanh(a, out=a)
+    a *= scale
+    a += offset
+    np.multiply(a[H:2 * H], c_prev, out=c)
+    np.multiply(a[:H], a[2 * H:3 * H], out=ig)
+    c += ig
+    np.tanh(c, out=tanh_c)
+    np.multiply(a[3 * H:], tanh_c, out=h)
+
+
+def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
+                  keep=True) -> BatchTrace:
     """Run the full encoder over a (B, T, input_dim) stack.
 
-    out, the trace of an earlier call on a stack of the same shape, lends
-    its gate, cell-state, tanh(c) and h arrays: they are overwritten and
+    keep=True keeps what backward_batch needs. keep=False keeps only the
+    outputs: each step projects its own input, and each layer overwrites
+    its input sequence with its h, so the pass holds one (T, H, B) array.
+    out, the training trace of an earlier call on a stack of the same
+    shape, lends its gate and cell-state arrays: they are overwritten and
     returned in the new trace, so out must not be used after the call.
     """
     stack = np.asarray(stack, dtype=np.float64)
@@ -169,6 +214,8 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None) -> BatchTr
         raise ShapeError(f"frame width {stack.shape[2]} != input_dim {cfg.input_dim}")
     if stack.shape[0] < 1 or stack.shape[1] < 1:
         raise EmptyInputError("batch and frame count must both be nonzero")
+    if out is not None and not keep:
+        raise ParameterError("an inference pass (keep=False) writes no trace into out")
     if out is not None and out.stack.shape != stack.shape:
         raise ShapeError(f"out traced a {out.stack.shape} stack, not {stack.shape}")
     B, T, _ = stack.shape
@@ -176,41 +223,43 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None) -> BatchTr
     scale, offset = _gate_affine(H, B)
     row_scale = scale[:, :1]
     x = stack.transpose(1, 2, 0)
-    layer_inputs, gates_all, c_prevs_all, tanh_cs_all, hs_all = [], [], [], [], []
-    ig = np.empty((H, B))
-    c_last = np.empty((H, B))  # the cell state leaving the last step
+    hs = np.empty((T, H, B))  # each layer's h, read and overwritten by the next
+    tanh_c, ig = np.empty((H, B)), np.empty((H, B))
+    gates_all, c_prevs_all, c_lasts = [], [], []
     for layer in range(cfg.n_layers):
-        if out is None:
-            gates, c_prevs = np.empty((T, 4 * H, B)), np.empty((T, H, B))
-            tanh_cs, hs = np.empty((T, H, B)), np.empty((T, H, B))
-        else:
-            gates, c_prevs = out.gates[layer], out.c_prevs[layer]
-            tanh_cs, hs = out.tanh_cs[layer], out.hs[layer]
+        wx = row_scale * params.tensors[f"lstm{layer}.w_x"]
         wh = row_scale * params.tensors[f"lstm{layer}.w_h"]
-        # Input projection for every step at once; the loop adds only W_h h.
-        np.matmul(row_scale * params.tensors[f"lstm{layer}.w_x"], x, out=gates)
-        gates += scale * params.tensors[f"lstm{layer}.b"][:, None]
-        c_prevs[0] = 0.0
+        bias = scale * params.tensors[f"lstm{layer}.b"][:, None]
+        if keep:
+            if out is None:
+                gates, c_prevs = np.empty((T, 4 * H, B)), np.empty((T, H, B))
+                c_last = np.empty((H, B))
+            else:
+                gates, c_prevs = out.gates[layer], out.c_prevs[layer]
+                c_last = out.c_lasts[layer]
+            # Input projection for every step at once; the loop adds only W_h h.
+            np.matmul(wx, x, out=gates)
+            gates += bias
+            c_prevs[0] = 0.0
+            gates_all.append(gates)
+            c_prevs_all.append(c_prevs)
+            c_lasts.append(c_last)
+        else:
+            a, c = np.empty((4 * H, B)), np.zeros((H, B))
         for t in range(T):
-            a = gates[t]  # activated in place
+            if keep:
+                a, c_prev = gates[t], c_prevs[t]
+                c = c_prevs[t + 1] if t + 1 < T else c_last
+            else:
+                # Above layer 0, x[t] is hs[t]: read here, overwritten below.
+                np.matmul(wx, x[t], out=a)
+                a += bias
+                c_prev = c
             if t:
                 a += wh @ hs[t - 1]
-            np.tanh(a, out=a)
-            a *= scale
-            a += offset
-            c = c_prevs[t + 1] if t + 1 < T else c_last
-            np.multiply(a[H:2 * H], c_prevs[t], out=c)
-            np.multiply(a[:H], a[2 * H:3 * H], out=ig)
-            c += ig
-            np.tanh(c, out=tanh_cs[t])
-            np.multiply(a[3 * H:], tanh_cs[t], out=hs[t])
-        layer_inputs.append(x)
-        gates_all.append(gates)
-        c_prevs_all.append(c_prevs)
-        tanh_cs_all.append(tanh_cs)
-        hs_all.append(hs)
+            _cell_step(a, c_prev, c, tanh_c, ig, hs[t], scale, offset)
         x = hs
-    top = hs_all[-1][-1].T
+    top = hs[-1].copy().T  # frees hs; the layout of a view of it (BatchTrace)
     pre_norm = top @ params.tensors["proj.w"].T + params.tensors["proj.b"]
     norms = np.linalg.norm(pre_norm, axis=1)
     if not np.all(np.isfinite(norms)):
@@ -218,8 +267,16 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None) -> BatchTr
     if np.any(norms < 1e-300):
         raise NumericError("pre-normalization embedding collapsed to zero")
     embeddings = pre_norm / norms[:, None]
-    return BatchTrace(stack, layer_inputs, gates_all, c_prevs_all, tanh_cs_all,
-                      hs_all, pre_norm, norms, embeddings)
+    return BatchTrace(stack, gates_all, c_prevs_all, c_lasts, top, pre_norm, norms,
+                      embeddings)
+
+
+def _tanh_cells(trace: BatchTrace, layer: int, cols, out):
+    """tanh of the cell state leaving each step of one layer of a training
+    trace, at the columns cols selects, written into out (T, H, B')."""
+    cols(trace.c_prevs[layer][1:], out[:-1])
+    cols(trace.c_lasts[layer], out[-1])
+    return np.tanh(out, out=out)
 
 
 def backward_batch(params: EncoderParams, trace: BatchTrace,
@@ -230,6 +287,8 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
     backpropagated; a dead column's contribution is exactly zero.
     """
     cfg = params.config
+    if not trace.gates:
+        raise ParameterError("an inference trace (keep=False) has no backward pass")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     T = trace.stack.shape[1]
     H = cfg.hidden_dim
@@ -241,19 +300,23 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
     if len(live) == len(grad_out):
         live = slice(None)  # every column: views, the full-batch operations
 
-        def cols(a):
-            return a
+        def cols(a, out=None):
+            if out is None:
+                return a
+            np.copyto(out, a)
+            return out
     else:
         grad_out = grad_out[live]
 
-        def cols(a):  # the live columns of one step's (features, B) block
-            return np.take(a, live, axis=1)
+        def cols(a, out=None):  # the live columns of a (..., features, B) array
+            # mode="clip" writes into out directly; "raise" buffers a copy.
+            return np.take(a, live, axis=-1, out=out, mode="clip")
     B = len(grad_out)
     e, norms = trace.embeddings[live], trace.norms[live]
     # Through L2 normalization: radial component of the upstream grad dies.
     dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / norms[:, None]
     grads = {}
-    top = trace.hs[-1][-1].T[live]
+    top = trace.top[live]
     grads["proj.w"] = dv.T @ top
     grads["proj.b"] = dv.sum(axis=0)
     # Gate derivative (1 - x) * (x + shift): sigmoid' = s (1 - s) on the
@@ -267,12 +330,16 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
     dh = np.empty((H, B))
     tmp = np.empty((H, B))
     tmp4 = np.empty((4 * H, B))
+    # tanh(c) is recomputed a layer at a time into one (T, H, B) buffer;
+    # another takes h, then the layer below's h, then dh_seq: with da,
+    # 6·T·H·B floats in all.
+    tanh_cs = _tanh_cells(trace, cfg.n_layers - 1, cols, np.empty((T, H, B)))
+    spare = np.empty((T, H, B))
     for layer in reversed(range(cfg.n_layers)):
         wx = params.tensors[f"lstm{layer}.w_x"]
         wh_t = params.tensors[f"lstm{layer}.w_h"].T
         gates = trace.gates[layer]
         c_prevs = trace.c_prevs[layer]
-        tanh_cs = trace.tanh_cs[layer]
         dc[:] = 0.0
         dh[:] = dh_top if dh_seq is None else dh_seq[-1]
         for t in reversed(range(T)):
@@ -280,7 +347,7 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
                 np.matmul(wh_t, da[t + 1], out=dh)
                 if dh_seq is not None:
                     dh += dh_seq[t]
-            gate, tc, d = cols(gates[t]), cols(tanh_cs[t]), da[t]
+            gate, tc, d = cols(gates[t]), tanh_cs[t], da[t]
             # dc = f_{t+1} dc_{t+1} + dh o (1 - tanh(c)^2); d[3H:] is scratch
             # until it receives do.
             np.multiply(tc, tc, out=d[3 * H:])
@@ -297,19 +364,25 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
             np.subtract(1.0, gate, out=tmp4)
             d *= tmp4
             dc *= gate[H:2 * H]
-        x = trace.layer_inputs[layer]
-        hs = trace.hs[layer]
-        dwx = np.zeros_like(wx)
+        hs = cols(gates[:, 3 * H:], spare)  # h = o * tanh(c); dh_seq is spent
+        hs *= tanh_cs
         dwh = np.zeros((4 * H, H))
+        for t in reversed(range(1, T)):
+            dwh += da[t] @ hs[t - 1].T
+        if layer:  # the input is the layer below's h
+            tanh_cs = _tanh_cells(trace, layer - 1, cols, tanh_cs)
+            x = cols(trace.gates[layer - 1][:, 3 * H:], spare)
+            x *= tanh_cs
+        else:
+            x = cols(trace.stack.transpose(1, 2, 0))
+        dwx = np.zeros_like(wx)
         for t in reversed(range(T)):
-            dwx += da[t] @ cols(x[t]).T
-            if t:
-                dwh += da[t] @ cols(hs[t - 1]).T
+            dwx += da[t] @ x[t].T
         grads[f"lstm{layer}.w_x"] = dwx
         grads[f"lstm{layer}.w_h"] = dwh
         grads[f"lstm{layer}.b"] = da.sum(axis=0).sum(axis=1)
         if layer:
-            dh_seq = np.matmul(wx.T, da)
+            dh_seq = np.matmul(wx.T, da, out=spare)
     return grads
 
 

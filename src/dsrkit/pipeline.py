@@ -122,6 +122,11 @@ class RunConfig:
                 raise ValidationError(f"config field {f.name} must be finite")
             if low == "positive" and value <= 0 or low == "nonnegative" and value < 0:
                 raise ValidationError(f"config field {f.name} must be {low}")
+        for name in ("win_s", "hop_s"):  # log_mel's rounding to samples
+            if int(round(getattr(self, name) * self.sample_rate)) < 1:
+                raise ValidationError(
+                    f"config field {name} = {getattr(self, name)!r} s is under one "
+                    f"sample at sample_rate {self.sample_rate} Hz")
         # numpy seeds must be >= 0; the checkpoint header stores an int32.
         if not 0 <= self.seed <= 2**31 - 1:
             raise ValidationError(f"seed {self.seed} outside [0, 2**31 - 1]")
@@ -398,16 +403,18 @@ def mel_for(utt: Utterance, config: RunConfig, cache: dict):
     return cache[key]
 
 
-def _grouped_forward(params, mels, previous=None):
+def _grouped_forward(params, mels, previous=None, keep=True):
     """Encode a mixed-length list by grouping equal frame counts, each
     distinct mel object once (mel_for returns one object per utterance).
 
     Returns (embeddings row-aligned with mels, groups) where groups maps
     frame count -> (row indices, encoded index of each row, trace) for the
-    matching backward pass. previous, the groups of an earlier call, is
-    emptied: a trace whose stack shape recurs is overwritten in place, and
-    every other is dropped before any new trace is allocated, so a caller
-    that passes its last groups holds one call's traces at a time.
+    matching backward pass; with keep=False the traces keep only their
+    outputs and no backward pass can follow. previous, the groups of an
+    earlier call, is emptied: a trace whose stack shape recurs is
+    overwritten in place, and every other is dropped before any new trace
+    is allocated, so a caller that passes its last groups holds one call's
+    traces at a time.
     """
     by_len = {}
     for row, m in enumerate(mels):
@@ -427,7 +434,8 @@ def _grouped_forward(params, mels, previous=None):
     groups = {}
     for n_frames in sorted(plan):
         rows, index, frames = plan[n_frames]
-        trace = forward_batch(params, np.stack(frames), out=reusable.pop(n_frames, None))
+        trace = forward_batch(params, np.stack(frames), out=reusable.pop(n_frames, None),
+                              keep=keep)
         embeddings[rows] = trace.embeddings[index]
         groups[n_frames] = (rows, index, trace)
     return embeddings, groups
@@ -447,7 +455,7 @@ def _grouped_backward(params, groups, grad_out):
 
 def embed_utterances(params, utterances, config: RunConfig, cache: dict):
     mels = [mel_for(u, config, cache) for u in utterances]
-    embeddings, _ = _grouped_forward(params, mels)
+    embeddings, _ = _grouped_forward(params, mels, keep=False)
     return embeddings
 
 

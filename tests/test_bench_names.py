@@ -24,16 +24,7 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_traced_experiment_matches_untraced(tmp_path):
-    # The tracer's describe functions read arguments by position, so a
-    # changed signature shows up only when a traced run calls through them.
-    tracing = runpy.run_path(str(TRACING))
-    config = dsrkit.pipeline.RunConfig(
-        corpus_speakers=4, utterances_per_speaker=4, duration_s=0.5, ge2e_n_speakers=2,
-        ge2e_m_utterances=2, ge2e_iterations=3, batch_size=4, triplet_iterations=2,
-        holdout_per_speaker=2)
-    untraced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "plain")
-
+def locked_tracer(tracing):
     class LockedTracer(tracing["Tracer"]):
         # Tracer.begin appends a span and then reads spans[-1] with no lock,
         # and pool threads call traced names; the lock keeps each thread's
@@ -48,12 +39,52 @@ def test_traced_experiment_matches_untraced(tmp_path):
             with self.lock:
                 super().end(span)
 
-    tracer = LockedTracer(
+    return LockedTracer(
         tracing["stage_targets"](dsrkit) + tracing["layer_targets"](dsrkit), full=True)
+
+
+def encoder_counts(stats):
+    """The encoder's call, sequence and frame counts, total and per bucket."""
+    return {name: value for name, value in stats.items()
+            if name.startswith(("encoder.forward_batch.", "encoder.backward_batch."))
+            and not name.endswith("_s")}
+
+
+def test_traced_experiment_matches_untraced(tmp_path):
+    # The tracer's describe functions read arguments by position, so a
+    # changed signature shows up only when a traced run calls through them.
+    tracing = runpy.run_path(str(TRACING))
+    config = dsrkit.pipeline.RunConfig(
+        corpus_speakers=4, utterances_per_speaker=4, duration_s=0.5, ge2e_n_speakers=2,
+        ge2e_m_utterances=2, ge2e_iterations=3, batch_size=4, triplet_iterations=2,
+        holdout_per_speaker=2)
+    untraced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "plain")
+    tracer = locked_tracer(tracing)
     with tracer.installed():
         traced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "traced")
     assert traced == untraced
     stats = tracing["layer_stats"](tracer.spans, None)
+    # Inference and training both encode through dsrkit.pipeline.forward_batch,
+    # and the backward describer reads the trace's input stack.
+    assert encoder_counts(stats) == {
+        "encoder.forward_batch.calls": 13, "encoder.forward_batch.seqs": 73,
+        "encoder.forward_batch.frames": 3904, "encoder.forward_batch.B4xT48.calls": 5,
+        "encoder.forward_batch.B4xT98.calls": 2, "encoder.forward_batch.B6xT48.calls": 1,
+        "encoder.forward_batch.B7xT48.calls": 1, "encoder.forward_batch.B8xT48.calls": 4,
+        "encoder.backward_batch.calls": 7, "encoder.backward_batch.seqs": 33,
+        "encoder.backward_batch.frames": 1984, "encoder.backward_batch.B4xT48.calls": 3,
+        "encoder.backward_batch.B4xT98.calls": 2, "encoder.backward_batch.B6xT48.calls": 1,
+        "encoder.backward_batch.B7xT48.calls": 1}
+    evaluated = locked_tracer(tracing)
+    with evaluated.installed():
+        dsrkit.pipeline.evaluate(tmp_path / "traced" / "corpus" / "manifest.tsv",
+                                 tmp_path / "traced" / "finetune" / "finetuned.ckpt",
+                                 config, tmp_path / "eval")
+    # The 16-utterance manifest in one group, then the 8 pitch-shifted females.
+    assert encoder_counts(tracing["layer_stats"](evaluated.spans, None)) == {
+        "encoder.forward_batch.calls": 2, "encoder.forward_batch.seqs": 24,
+        "encoder.forward_batch.frames": 1152, "encoder.forward_batch.B16xT48.calls": 1,
+        "encoder.forward_batch.B8xT48.calls": 1}
     for name in ("sampling.build_triplet", "sampling.batch", "pipeline.gender_centroids",
                  "pipeline.probe_shifted_females", "encoder.backward_batch"):
         assert stats.get(f"{name}.calls", 0) >= 1, name

@@ -3,6 +3,8 @@ checkpoint round-trips and malformed checkpoints."""
 
 import re
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dsrkit.encoder import (
     EncoderConfig,
     EncoderParams,
+    _gate_affine,
     backward_batch,
     forward_batch,
     init_params,
@@ -101,7 +104,7 @@ def reference_forward(params, stack):
             gates[:, t] = np.concatenate([i, f, g, o], axis=1)
             tanh_cs[:, t] = tc
             hs[:, t] = h
-        cache.append((x, gates, c_prevs, tanh_cs, hs))
+        cache.append((x, gates, c_prevs, tanh_cs, hs, c))
         x = hs
     pre_norm = x[:, -1] @ params.tensors["proj.w"].T + params.tensors["proj.b"]
     norms = np.linalg.norm(pre_norm, axis=1)
@@ -122,7 +125,7 @@ def reference_backward(params, forward, grad_out):
     for layer in reversed(range(cfg.n_layers)):
         wx = params.tensors[f"lstm{layer}.w_x"]
         wh = params.tensors[f"lstm{layer}.w_h"]
-        x, gates, c_prevs, tanh_cs, hs = cache[layer]
+        x, gates, c_prevs, tanh_cs, hs, _ = cache[layer]
         dwx = np.zeros_like(wx)
         dwh = np.zeros_like(wh)
         db = np.zeros(4 * H)
@@ -158,16 +161,73 @@ def reference_backward(params, forward, grad_out):
     return grads
 
 
-def columnfree_backward(params, trace, grad_out):
-    """backward_batch as it was before it skipped zero rows: every column of
-    every step, no gather. Kept as the bit-for-bit oracle of a fully live
-    batch."""
+def fulltrace_forward(params, stack):
+    """forward_batch as it was when the trace also kept every layer's input,
+    tanh(c) and h: the byte-level oracle of both passes."""
     cfg = params.config
-    B, T = trace.stack.shape[:2]
+    B, T, _ = stack.shape
     H = cfg.hidden_dim
-    e = trace.embeddings
-    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / trace.norms[:, None]
-    top = trace.hs[-1][-1].T
+    scale, offset = _gate_affine(H, B)
+    row_scale = scale[:, :1]
+    x = stack.transpose(1, 2, 0)
+    layer_inputs, gates_all, c_prevs_all, tanh_cs_all, hs_all = [], [], [], [], []
+    ig = np.empty((H, B))
+    c_last = np.empty((H, B))
+    for layer in range(cfg.n_layers):
+        gates, c_prevs = np.empty((T, 4 * H, B)), np.empty((T, H, B))
+        tanh_cs, hs = np.empty((T, H, B)), np.empty((T, H, B))
+        wh = row_scale * params.tensors[f"lstm{layer}.w_h"]
+        np.matmul(row_scale * params.tensors[f"lstm{layer}.w_x"], x, out=gates)
+        gates += scale * params.tensors[f"lstm{layer}.b"][:, None]
+        c_prevs[0] = 0.0
+        for t in range(T):
+            a = gates[t]
+            if t:
+                a += wh @ hs[t - 1]
+            np.tanh(a, out=a)
+            a *= scale
+            a += offset
+            c = c_prevs[t + 1] if t + 1 < T else c_last
+            np.multiply(a[H:2 * H], c_prevs[t], out=c)
+            np.multiply(a[:H], a[2 * H:3 * H], out=ig)
+            c += ig
+            np.tanh(c, out=tanh_cs[t])
+            np.multiply(a[3 * H:], tanh_cs[t], out=hs[t])
+        layer_inputs.append(x)
+        gates_all.append(gates)
+        c_prevs_all.append(c_prevs)
+        tanh_cs_all.append(tanh_cs)
+        hs_all.append(hs)
+        x = hs
+    pre_norm = hs_all[-1][-1].T @ params.tensors["proj.w"].T + params.tensors["proj.b"]
+    norms = np.linalg.norm(pre_norm, axis=1)
+    return SimpleNamespace(stack=stack, layer_inputs=layer_inputs, gates=gates_all,
+                           c_prevs=c_prevs_all, tanh_cs=tanh_cs_all, hs=hs_all,
+                           norms=norms, embeddings=pre_norm / norms[:, None])
+
+
+def fulltrace_backward(params, trace, grad_out):
+    """backward_batch over a fulltrace_forward trace, reading tanh(c), h and
+    the layer inputs where the forward pass stored them. On a fully live
+    batch every column is taken as a view, with no gather."""
+    cfg = params.config
+    T = trace.stack.shape[1]
+    H = cfg.hidden_dim
+    live = np.flatnonzero(np.any(grad_out != 0.0, axis=1))
+    if len(live) == len(grad_out):
+        live = slice(None)
+
+        def cols(a):
+            return a
+    else:
+        grad_out = grad_out[live]
+
+        def cols(a):
+            return np.take(a, live, axis=1)
+    B = len(grad_out)
+    e, norms = trace.embeddings[live], trace.norms[live]
+    dv = (grad_out - np.sum(grad_out * e, axis=1, keepdims=True) * e) / norms[:, None]
+    top = trace.hs[-1][-1].T[live]
     grads = {"proj.w": dv.T @ top, "proj.b": dv.sum(axis=0)}
     shift = np.zeros((4 * H, B))
     shift[2 * H:3 * H] = 1.0
@@ -191,14 +251,14 @@ def columnfree_backward(params, trace, grad_out):
                 np.matmul(wh_t, da[t + 1], out=dh)
                 if dh_seq is not None:
                     dh += dh_seq[t]
-            gate, tc, d = gates[t], tanh_cs[t], da[t]
+            gate, tc, d = cols(gates[t]), cols(tanh_cs[t]), da[t]
             np.multiply(tc, tc, out=d[3 * H:])
             np.subtract(1.0, d[3 * H:], out=d[3 * H:])
             np.multiply(dh, gate[3 * H:], out=tmp)
             tmp *= d[3 * H:]
             dc += tmp
             np.multiply(dc, gate[2 * H:3 * H], out=d[:H])
-            np.multiply(dc, c_prevs[t], out=d[H:2 * H])
+            np.multiply(dc, cols(c_prevs[t]), out=d[H:2 * H])
             np.multiply(dc, gate[:H], out=d[2 * H:3 * H])
             np.multiply(dh, tc, out=d[3 * H:])
             np.add(gate, shift, out=tmp4)
@@ -211,15 +271,32 @@ def columnfree_backward(params, trace, grad_out):
         dwx = np.zeros_like(wx)
         dwh = np.zeros((4 * H, H))
         for t in reversed(range(T)):
-            dwx += da[t] @ x[t].T
+            dwx += da[t] @ cols(x[t]).T
             if t:
-                dwh += da[t] @ hs[t - 1].T
+                dwh += da[t] @ cols(hs[t - 1]).T
         grads[f"lstm{layer}.w_x"] = dwx
         grads[f"lstm{layer}.w_h"] = dwh
         grads[f"lstm{layer}.b"] = da.sum(axis=0).sum(axis=1)
         if layer:
             dh_seq = np.matmul(wx.T, da)
     return grads
+
+
+def recomputed(trace, layer):
+    """tanh(c) and h = o * tanh(c) of one layer of a training trace, one step
+    at a time from its gates, cell states and last cell state."""
+    gates, c_prevs = trace.gates[layer], trace.c_prevs[layer]
+    T, H = c_prevs.shape[:2]
+    tanh_cs, hs = np.empty_like(c_prevs), np.empty_like(c_prevs)
+    for t in range(T):
+        c = c_prevs[t + 1] if t + 1 < T else trace.c_lasts[layer]
+        tanh_cs[t] = np.tanh(c)
+        hs[t] = gates[t, 3 * H:] * tanh_cs[t]
+    return tanh_cs, hs
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def max_rel_error(analytic, approx):
@@ -325,13 +402,25 @@ class TestReferenceOracle:
         g = rng.normal(size=(batch, params.config.embed_dim))
         trace = forward_batch(params, stack)
         expected = reference_forward(params, stack)
+        oracle = fulltrace_forward(params, stack)
         npt.assert_allclose(trace.embeddings, expected[0], rtol=0, atol=1e-12)
-        # Trace layout: feature-major (T, features, B) per layer.
-        for layer, (x, gates, c_prevs, tanh_cs, hs) in enumerate(expected[2]):
-            for got, want in ((trace.layer_inputs, x), (trace.gates, gates),
-                              (trace.c_prevs, c_prevs), (trace.tanh_cs, tanh_cs),
-                              (trace.hs, hs)):
-                npt.assert_allclose(got[layer], want.transpose(1, 2, 0), rtol=0, atol=1e-12)
+        # Trace layout: feature-major (T, features, B) per layer. The layer
+        # inputs, tanh(c) and h are recomputed from the kept fields.
+        x_got = trace.stack.transpose(1, 2, 0)
+        for layer, (x, gates, c_prevs, tanh_cs, hs, c_last) in enumerate(expected[2]):
+            tanh_got, hs_got = recomputed(trace, layer)
+            for got, want in ((x_got, x), (trace.gates[layer], gates),
+                              (trace.c_prevs[layer], c_prevs), (tanh_got, tanh_cs),
+                              (hs_got, hs)):
+                npt.assert_allclose(got, want.transpose(1, 2, 0), rtol=0, atol=1e-12)
+            npt.assert_allclose(trace.c_lasts[layer], c_last.T, rtol=0, atol=1e-12)
+            # Recomputed from the kept fields, tanh(c) and o * tanh(c) carry
+            # the bits the full-trace pass stored.
+            assert same_bytes(tanh_got, oracle.tanh_cs[layer]), layer
+            assert same_bytes(hs_got, oracle.hs[layer]), layer
+            x_got = hs_got
+        npt.assert_allclose(trace.top, expected[2][-1][4][:, -1], rtol=0, atol=1e-12)
+        assert same_bytes(trace.top, oracle.hs[-1][-1].T)
         grads = backward_batch(params, trace, g)
         reference = reference_backward(params, expected, g)
         assert list(grads) == list(reference)
@@ -362,14 +451,15 @@ class TestReferenceOracle:
 
     @pytest.mark.parametrize("batch,frames", [(16, 98), (64, 198), (3, 1)])
     def test_fully_live_batch_is_bit_identical_to_columnfree_pass(self, batch, frames):
+        """fulltrace_backward takes every column of a fully live batch as a
+        view, so this also pins the full-batch operations."""
         params = init_params(EncoderConfig(seed=batch * frames))
         rng = np.random.default_rng(batch)
         stack = rng.normal(size=(batch, frames, params.config.input_dim))
         g = rng.normal(size=(batch, params.config.embed_dim))
         g[0, 1:] = 0.0  # a row with one nonzero entry is live
-        trace = forward_batch(params, stack)
-        grads = backward_batch(params, trace, g)
-        want = columnfree_backward(params, trace, g)
+        grads = backward_batch(params, forward_batch(params, stack), g)
+        want = fulltrace_backward(params, fulltrace_forward(params, stack), g)
         assert list(grads) == list(want)
         for name in want:
             assert np.array_equal(grads[name].view(np.int64),
@@ -404,8 +494,7 @@ class TestTraceReuse:
     """forward_batch(..., out=old) writes into old's arrays and computes
     exactly what a fresh call computes."""
 
-    TRACE_FIELDS = ("layer_inputs", "gates", "c_prevs", "tanh_cs", "hs")
-    BUFFERS = ("gates", "c_prevs", "tanh_cs", "hs")
+    BUFFERS = ("gates", "c_prevs", "c_lasts")
 
     @pytest.mark.parametrize("batch,frames", [(16, 98), (5, 4), (3, 1)])
     def test_reused_trace_is_bit_identical_and_shares_memory(self, batch, frames):
@@ -416,11 +505,11 @@ class TestTraceReuse:
         lent = {name: list(getattr(old, name)) for name in self.BUFFERS}
         fresh = forward_batch(params, stack)
         reused = forward_batch(params, stack, out=old)
-        for name in self.TRACE_FIELDS:
+        for name in self.BUFFERS:
             for got, want in zip(getattr(reused, name), getattr(fresh, name), strict=True):
                 assert got.tobytes() == want.tobytes(), name
-        for name in ("pre_norm", "norms", "embeddings"):
-            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
+        for name in ("top", "pre_norm", "norms", "embeddings"):
+            assert same_bytes(getattr(reused, name), getattr(fresh, name)), name
         for name, arrays in lent.items():
             for got, old_array in zip(getattr(reused, name), arrays, strict=True):
                 assert np.shares_memory(got, old_array), name
@@ -431,6 +520,82 @@ class TestTraceReuse:
         old = forward_batch(params, np.zeros((5, 6, 5)))
         with pytest.raises(ShapeError, match="out traced"):
             forward_batch(params, np.zeros(shape), out=old)
+
+
+class TestKeepLevels:
+    """The training pass (keep=True), the inference pass (keep=False) and
+    the full-trace oracle compute the same bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_layers=st.integers(1, 3),
+           hidden=st.one_of(st.integers(1, 48), st.sampled_from([31, 32, 33, 48])),
+           batch=st.integers(1, 64), frames=st.integers(1, 40),
+           input_dim=st.integers(1, 6), embed_dim=st.integers(1, 5),
+           dead_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]), seed=st.integers(0, 2**16))
+    def test_passes_and_oracle_agree_byte_for_byte(self, n_layers, hidden, batch, frames,
+                                                    input_dim, embed_dim, dead_share, seed):
+        params = init_params(EncoderConfig(n_layers, hidden, embed_dim, input_dim, seed))
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(batch, frames, input_dim))
+        g = rng.normal(size=(batch, embed_dim))
+        g[rng.random(batch) < dead_share] = 0.0
+        trace = forward_batch(params, stack)
+        oracle = fulltrace_forward(params, stack)
+        inferred = forward_batch(params, stack, keep=False)
+        assert same_bytes(trace.embeddings, oracle.embeddings)
+        assert same_bytes(inferred.embeddings, oracle.embeddings)
+        grads = backward_batch(params, trace, g)
+        want = fulltrace_backward(params, oracle, g)
+        assert list(grads) == list(want)
+        for name in want:
+            assert same_bytes(grads[name], want[name]), name
+        # The recompute rests on np.tanh giving each element the same bits
+        # over a whole sequence, or over gathered columns, as over one step.
+        live = np.flatnonzero(np.any(g != 0.0, axis=1))
+        for layer in range(n_layers):
+            cells = np.concatenate((oracle.c_prevs[layer][1:], trace.c_lasts[layer][None]))
+            assert same_bytes(np.tanh(cells), oracle.tanh_cs[layer])
+            assert same_bytes(np.tanh(np.take(cells, live, axis=-1)),
+                              np.take(oracle.tanh_cs[layer], live, axis=-1))
+
+    def test_inference_trace_keeps_only_outputs(self):
+        params = init_params(SMALL)
+        stack = np.random.default_rng(8).normal(size=(3, 4, 5))
+        trace = forward_batch(params, stack, keep=False)
+        assert trace.gates == trace.c_prevs == trace.c_lasts == []
+        with pytest.raises(ParameterError, match="keep=False"):
+            backward_batch(params, trace, np.ones((3, 4)))
+        with pytest.raises(ParameterError, match="keep=False"):
+            forward_batch(params, stack, out=forward_batch(params, stack), keep=False)
+
+    def test_training_trace_keeps_five_floats_per_layer_step(self):
+        cfg = EncoderConfig(n_layers=3, hidden_dim=8, embed_dim=4, input_dim=5)
+        B, T, H = 6, 7, cfg.hidden_dim
+        stack = np.random.default_rng(9).normal(size=(B, T, cfg.input_dim))
+        trace = forward_batch(init_params(cfg), stack)
+        arrays = trace.gates + trace.c_prevs + trace.c_lasts + [trace.top, trace.stack]
+        # Each array's memory, once: no field holds a view of a larger buffer.
+        owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
+                  for a in arrays}
+        assert trace.stack is stack and trace.top.base.shape == (H, B)
+        assert sum(o.nbytes for o in owners.values()) == 8 * (
+            cfg.n_layers * 5 * T * H * B + cfg.n_layers * H * B + H * B + stack.size)
+
+    def test_inference_pass_holds_one_hidden_sequence(self):
+        """At the evaluation's B240xT98 the full trace is about 85 MB; the
+        inference pass holds one (T, H, B) array of 6 MB."""
+        params = init_params(EncoderConfig(n_layers=2, hidden_dim=32))
+        stack = np.random.default_rng(10).normal(size=(240, 98, params.config.input_dim))
+        peaks = {}
+        for keep in (False, True):
+            tracemalloc.start()
+            try:
+                forward_batch(params, stack, keep=keep)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= 20e6, peaks
+        assert peaks[True] >= 2 * 5 * 98 * 32 * 240 * 8, peaks
 
 
 class TestInitParams:

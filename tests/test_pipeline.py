@@ -396,6 +396,23 @@ class TestConfig:
             RunConfig(male_f0_max=170.0)
         RunConfig(female_f0_min=200.0, female_f0_max=240.0)  # sub-range is fine
 
+    @pytest.mark.parametrize("key,value", [("win_s", "0.00003"), ("hop_s", "1e-05"),
+                                           ("hop_s", "0.00003125")])
+    def test_window_or_hop_under_one_sample_rejected(self, tmp_path, capsys, key, value):
+        """Rounded to samples at 16 kHz these are 0; the run must stop at the
+        config, before any WAV is decoded or any corpus is synthesised."""
+        path = tmp_path / "short.ini"
+        path.write_text(f"[audio]\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"field {key} = .* under one sample"):
+            load_config(path)
+        out = tmp_path / "corpus"
+        assert main(["synth-corpus", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not out.exists()
+        # One sample (rounded up from half a sample plus a little) is enough.
+        assert RunConfig(**{key: 0.0000313}).sample_rate == 16000
+
 
 def serial_synth_corpus(config, out_dir):
     """synth_corpus as one serial loop that renders and writes each WAV
