@@ -19,25 +19,25 @@ cell step (_cell_step) and differ only in what they keep:
   own input frame, and each layer writes its h over its input sequence, so
   a pass holds one (T, H, B) array whatever the depth.
 
-The backward pass recomputes tanh(c) and h = o * tanh(c) a layer at a
-time, with one whole-sequence tanh and product into two (T, H, B) buffers;
-the second then carries the gradients into the layer below. Both act
-elementwise on the operands the forward step used, so they give its bits
-(the test suite checks this on random shapes): cheap activations are
-traded for trace memory, as in Gruslys et al. 2016 (arXiv:1606.03401) and
-Chen et al. 2016 (arXiv:1604.06174), and no result moves. The backward
-pass writes every step's pre-activation gradients into one (T, 4H, B)
-buffer and forms the weight gradients, and the input gradients of the
-layer below, after the loop. This is the RNN restructuring of Appleyard
-et al. 2016 (arXiv:1604.01946).
+The backward pass consumes the training trace and allocates nothing sized
+by T: each step writes its pre-activation gradients over its gates, takes
+tanh(c) in place once the raw cell state is spent and recomputes
+h = o * tanh(c) for that step. These act elementwise on the operands the
+forward step used, so they give its bits (the test suite checks this on
+random shapes): cheap activations are traded for trace memory, as in
+Gruslys et al. 2016 (arXiv:1606.03401) and Chen et al. 2016
+(arXiv:1604.06174), and no result moves. The weight gradients accumulate
+inside the time loop; the gradients into the layer below come from one
+matmul over all steps, the RNN restructuring of Appleyard et al. 2016
+(arXiv:1604.01946), written over the layer's spent cell states.
 
 Zero rows: a batch row whose upstream gradient is all zero contributes
 exactly zero to every parameter gradient, so the backward pass runs only
-over the live columns: it gathers each step's gate and cell-state blocks
-at them and recomputes tanh(c) and h at them alone. A
+over the live columns: it first packs each layer's gates and cell states
+at them into the front of their own memory, one step at a time. A
 satisfied triplet (FaceNet's hinge, Schroff et al. 2015) gives all three
-of its rows a zero gradient. When every row is live the gather is the
-identity and the pass runs the full-batch operations unchanged.
+of its rows a zero gradient. When every row is live nothing is packed and
+the pass runs the full-batch operations unchanged.
 
 Checkpoint layout (version 1, all little-endian):
   magic "DSRK" | version int32 | n_layers, hidden_dim, embed_dim,
@@ -159,7 +159,9 @@ class BatchTrace:
     step: 5·T·H·B floats. tanh(c) and h = o * tanh(c), which the backward
     pass also needs (h is the next layer's input too), are recomputed from
     them with the same elementwise operations, so they carry the forward
-    pass's bits. An inference trace (keep=False) has empty per-layer lists.
+    pass's bits. backward_batch consumes a training trace (consumed): it
+    leaves gradients in these arrays, for forward_batch(..., out=) to
+    overwrite. An inference trace (keep=False) has empty per-layer lists.
     Both keep top: the top layer's last h, copied out of the h sequence as
     an (H, B) block and viewed as (B, H). That is the layout the projection
     has always read; a C-contiguous (B, H) copy changes the last bit of
@@ -178,6 +180,7 @@ class BatchTrace:
     pre_norm: np.ndarray       # (B, E)
     norms: np.ndarray          # (B,)
     embeddings: np.ndarray     # (B, E), rows unit-norm
+    consumed: bool = field(default=False, init=False)  # set by backward_batch
 
 
 def _cell_step(a, c_prev, c, tanh_c, ig, h, scale, offset):
@@ -203,8 +206,9 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
     outputs: each step projects its own input, and each layer overwrites
     its input sequence with its h, so the pass holds one (T, H, B) array.
     out, the training trace of an earlier call on a stack of the same
-    shape, lends its gate and cell-state arrays: they are overwritten and
-    returned in the new trace, so out must not be used after the call.
+    shape, consumed by backward_batch or not, lends its gate and cell-state
+    arrays: they are overwritten and returned in the new trace, so out must
+    not be used after the call.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
@@ -271,12 +275,17 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
                       embeddings)
 
 
-def _tanh_cells(trace: BatchTrace, layer: int, cols, out):
-    """tanh of the cell state leaving each step of one layer of a training
-    trace, at the columns cols selects, written into out (T, H, B')."""
-    cols(trace.c_prevs[layer][1:], out[:-1])
-    cols(trace.c_lasts[layer], out[-1])
-    return np.tanh(out, out=out)
+def _compact(a, live):
+    """The live columns of a contiguous (T, F, B) array, packed a step at a
+    time, in ascending t, into the front of its own memory: step t lands at
+    t·F·B' and no later step starts before (t + 1)·F·B, so each is read
+    before anything is written over it. Returns the (T, F, B') view."""
+    packed = a.reshape(-1)[:a.size // a.shape[-1] * len(live)].reshape(*a.shape[:2], len(live))
+    block = np.empty(packed.shape[1:])
+    for src, dst in zip(a, packed):
+        np.take(src, live, axis=-1, out=block, mode="clip")
+        dst[...] = block
+    return packed
 
 
 def backward_batch(params: EncoderParams, trace: BatchTrace,
@@ -284,11 +293,14 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
     """Gradients of sum_b grad_out[b] . embedding[b], summed over the batch.
 
     Only the live columns (rows of grad_out with a nonzero entry) are
-    backpropagated; a dead column's contribution is exactly zero.
+    backpropagated; a dead column's contribution is exactly zero. The pass
+    consumes the trace: a second backward_batch on it raises ParameterError,
+    and only forward_batch(..., out=trace) may reuse its memory.
     """
     cfg = params.config
-    if not trace.gates:
-        raise ParameterError("an inference trace (keep=False) has no backward pass")
+    if not trace.gates or trace.consumed:
+        raise ParameterError("no backward pass on an inference trace (keep=False) "
+                             "or on one an earlier backward_batch consumed")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     T = trace.stack.shape[1]
     H = cfg.hidden_dim
@@ -296,21 +308,16 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != embeddings {trace.embeddings.shape}"
         )
+    trace.consumed = True
+    gates_all, c_prevs_all, c_lasts = trace.gates, trace.c_prevs, trace.c_lasts
     live = np.flatnonzero(np.any(grad_out != 0.0, axis=1))
     if len(live) == len(grad_out):
-        live = slice(None)  # every column: views, the full-batch operations
-
-        def cols(a, out=None):
-            if out is None:
-                return a
-            np.copyto(out, a)
-            return out
+        live = slice(None)  # every column: the full-batch operations, in place
     else:
         grad_out = grad_out[live]
-
-        def cols(a, out=None):  # the live columns of a (..., features, B) array
-            # mode="clip" writes into out directly; "raise" buffers a copy.
-            return np.take(a, live, axis=-1, out=out, mode="clip")
+        gates_all = [_compact(a, live) for a in gates_all]
+        c_prevs_all = [_compact(a, live) for a in c_prevs_all]
+        c_lasts = [_compact(c[None], live)[0] for c in c_lasts]
     B = len(grad_out)
     e, norms = trace.embeddings[live], trace.norms[live]
     # Through L2 normalization: radial component of the upstream grad dies.
@@ -323,66 +330,58 @@ def backward_batch(params: EncoderParams, trace: BatchTrace,
     # i, f, o rows, tanh' = (1 - g) (1 + g) on the g rows.
     shift = np.zeros((4 * H, B))
     shift[2 * H:3 * H] = 1.0
-    da = np.empty((T, 4 * H, B))  # pre-activation grads, reused by every layer
-    dh_seq = None  # grads flowing into this layer's h from the layer above
     dh_top = (dv @ params.tensors["proj.w"]).T
-    dc = np.empty((H, B))
-    dh = np.empty((H, B))
-    tmp = np.empty((H, B))
-    tmp4 = np.empty((4 * H, B))
-    # tanh(c) is recomputed a layer at a time into one (T, H, B) buffer;
-    # another takes h, then the layer below's h, then dh_seq: with da,
-    # 6·T·H·B floats in all.
-    tanh_cs = _tanh_cells(trace, cfg.n_layers - 1, cols, np.empty((T, H, B)))
-    spare = np.empty((T, H, B))
+    dc, dh, h, tmp = (np.empty((H, B)) for _ in range(4))
+    d, tmp4 = np.empty((4 * H, B)), np.empty((4 * H, B))
+    d_i, d_f, d_g, d_o = d[:H], d[H:2 * H], d[2 * H:3 * H], d[3 * H:]
+    above = None  # the layer above: its da, its w_x gradient and dh_seq
     for layer in reversed(range(cfg.n_layers)):
         wx = params.tensors[f"lstm{layer}.w_x"]
         wh_t = params.tensors[f"lstm{layer}.w_h"].T
-        gates = trace.gates[layer]
-        c_prevs = trace.c_prevs[layer]
+        gates, c_prevs, c_last = gates_all[layer], c_prevs_all[layer], c_lasts[layer]
+        o_gates = gates[:, 3 * H:]
+        dwx = grads[f"lstm{layer}.w_x"] = np.zeros_like(wx)
+        dwh = grads[f"lstm{layer}.w_h"] = np.zeros((4 * H, H))
+        np.tanh(c_last, out=c_last)
+        if above:  # h holds this layer's h at the step the loop is on
+            da_above, dwx_above, dh_seq = above
+            np.multiply(o_gates[-1], c_last, out=h)
         dc[:] = 0.0
-        dh[:] = dh_top if dh_seq is None else dh_seq[-1]
+        dh[:] = dh_seq[-1] if above else dh_top
         for t in reversed(range(T)):
             if t < T - 1:
-                np.matmul(wh_t, da[t + 1], out=dh)
-                if dh_seq is not None:
+                np.matmul(wh_t, gates[t + 1], out=dh)
+                if above:
                     dh += dh_seq[t]
-            gate, tc, d = cols(gates[t]), tanh_cs[t], da[t]
-            # dc = f_{t+1} dc_{t+1} + dh o (1 - tanh(c)^2); d[3H:] is scratch
+            gate, tc = gates[t], c_prevs[t + 1] if t + 1 < T else c_last
+            # dc = f_{t+1} dc_{t+1} + dh o (1 - tanh(c)^2); d_o is scratch
             # until it receives do.
-            np.multiply(tc, tc, out=d[3 * H:])
-            np.subtract(1.0, d[3 * H:], out=d[3 * H:])
-            np.multiply(dh, gate[3 * H:], out=tmp)
-            tmp *= d[3 * H:]
+            np.multiply(tc, tc, out=d_o)
+            np.subtract(1.0, d_o, out=d_o)
+            np.multiply(dh, o_gates[t], out=tmp)
+            tmp *= d_o
             dc += tmp
-            np.multiply(dc, gate[2 * H:3 * H], out=d[:H])
-            np.multiply(dc, cols(c_prevs[t]), out=d[H:2 * H])
-            np.multiply(dc, gate[:H], out=d[2 * H:3 * H])
-            np.multiply(dh, tc, out=d[3 * H:])
+            np.multiply(dc, gate[2 * H:3 * H], out=d_i)
+            np.multiply(dc, c_prevs[t], out=d_f)
+            np.multiply(dc, gate[:H], out=d_g)
+            np.multiply(dh, tc, out=d_o)
             np.add(gate, shift, out=tmp4)
             d *= tmp4
             np.subtract(1.0, gate, out=tmp4)
-            d *= tmp4
             dc *= gate[H:2 * H]
-        hs = cols(gates[:, 3 * H:], spare)  # h = o * tanh(c); dh_seq is spent
-        hs *= tanh_cs
-        dwh = np.zeros((4 * H, H))
-        for t in reversed(range(1, T)):
-            dwh += da[t] @ hs[t - 1].T
-        if layer:  # the input is the layer below's h
-            tanh_cs = _tanh_cells(trace, layer - 1, cols, tanh_cs)
-            x = cols(trace.gates[layer - 1][:, 3 * H:], spare)
-            x *= tanh_cs
-        else:
-            x = cols(trace.stack.transpose(1, 2, 0))
-        dwx = np.zeros_like(wx)
-        for t in reversed(range(T)):
-            dwx += da[t] @ x[t].T
-        grads[f"lstm{layer}.w_x"] = dwx
-        grads[f"lstm{layer}.w_h"] = dwh
-        grads[f"lstm{layer}.b"] = da.sum(axis=0).sum(axis=1)
-        if layer:
-            dh_seq = np.matmul(wx.T, da, out=spare)
+            np.multiply(d, tmp4, out=gate)  # gates[t] now holds da[t]
+            if above:  # the layer above's input at t is this layer's h
+                dwx_above += da_above[t] @ h.T
+            if t:  # h at t - 1 = o * tanh(c_prev)
+                np.tanh(c_prevs[t], out=c_prevs[t])
+                np.multiply(o_gates[t - 1], c_prevs[t], out=h)
+                dwh += gate @ h.T
+            if not layer:  # the input: the stack itself, or its live columns
+                x = trace.stack[:, t].T
+                dwx += gate @ (x if isinstance(live, slice) else np.take(x, live, axis=-1)).T
+        grads[f"lstm{layer}.b"] = gates.sum(axis=0).sum(axis=1)
+        if layer:  # grads into the layer below's h, in the spent cell states
+            above = gates, dwx, np.matmul(wx.T, gates, out=c_prevs)
     return grads
 
 

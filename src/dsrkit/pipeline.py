@@ -443,7 +443,8 @@ def _grouped_forward(params, mels, previous=None, keep=True):
 
 def _grouped_backward(params, groups, grad_out):
     """Parameter gradients of sum_row grad_out[row] . embedding[row]; a
-    repeated mel's rows are summed, in row order, into its encoded row."""
+    repeated mel's rows are summed, in row order, into its encoded row.
+    Consumes every trace (backward_batch): pass groups on only as previous."""
     total = zero_grads(params)
     for n_frames in sorted(groups):
         rows, index, trace = groups[n_frames]
@@ -470,7 +471,7 @@ def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
     out_dir is created after the last step: a stage that fails leaves none."""
     cache = {}
     lines = ["iteration,loss"]
-    groups = None  # the last step's traces, overwritten by the next step's
+    groups = None  # the last step's consumed traces, overwritten by the next step's
     for iteration, batch in enumerate(batches):
         try:
             embeddings, groups = _grouped_forward(

@@ -514,6 +514,37 @@ class TestTraceReuse:
             for got, old_array in zip(getattr(reused, name), arrays, strict=True):
                 assert np.shares_memory(got, old_array), name
 
+    @pytest.mark.parametrize("batch,frames,n_live", [(16, 98, 16), (16, 98, 5), (5, 4, 0),
+                                                     (3, 1, 2)])
+    def test_consumed_trace_is_reused_bit_identically(self, batch, frames, n_live):
+        """Each training step runs forward_batch(..., out=) on the trace the
+        previous step's backward pass consumed."""
+        params = init_params(EncoderConfig(seed=batch + frames + n_live))
+        rng = np.random.default_rng(n_live)
+        earlier, stack = rng.normal(size=(2, batch, frames, params.config.input_dim))
+        g = np.zeros((batch, params.config.embed_dim))
+        g[:n_live] = rng.normal(size=(n_live, params.config.embed_dim))
+        old = forward_batch(params, earlier)
+        backward_batch(params, old, g)
+        fresh = forward_batch(params, stack)
+        reused = forward_batch(params, stack, out=old)
+        for name in self.BUFFERS:
+            for got, want in zip(getattr(reused, name), getattr(fresh, name), strict=True):
+                assert got.tobytes() == want.tobytes(), name
+        for name in ("top", "pre_norm", "norms", "embeddings"):
+            assert same_bytes(getattr(reused, name), getattr(fresh, name)), name
+        grads = backward_batch(params, reused, g)
+        for name, want in backward_batch(params, fresh, g).items():
+            assert same_bytes(grads[name], want), name
+
+    def test_second_backward_pass_on_one_trace_rejected(self):
+        params = init_params(SMALL)
+        stack = np.random.default_rng(11).normal(size=(3, 4, 5))
+        trace = forward_batch(params, stack)
+        backward_batch(params, trace, np.ones((3, 4)))
+        with pytest.raises(ParameterError, match="consumed"):
+            backward_batch(params, trace, np.ones((3, 4)))
+
     @pytest.mark.parametrize("shape", [(4, 6, 5), (5, 7, 5)])
     def test_mismatched_shape_rejected(self, shape):
         params = init_params(SMALL)
@@ -544,6 +575,7 @@ class TestKeepLevels:
         inferred = forward_batch(params, stack, keep=False)
         assert same_bytes(trace.embeddings, oracle.embeddings)
         assert same_bytes(inferred.embeddings, oracle.embeddings)
+        c_lasts = [c.copy() for c in trace.c_lasts]  # the backward pass consumes the trace
         grads = backward_batch(params, trace, g)
         want = fulltrace_backward(params, oracle, g)
         assert list(grads) == list(want)
@@ -553,7 +585,7 @@ class TestKeepLevels:
         # over a whole sequence, or over gathered columns, as over one step.
         live = np.flatnonzero(np.any(g != 0.0, axis=1))
         for layer in range(n_layers):
-            cells = np.concatenate((oracle.c_prevs[layer][1:], trace.c_lasts[layer][None]))
+            cells = np.concatenate((oracle.c_prevs[layer][1:], c_lasts[layer][None]))
             assert same_bytes(np.tanh(cells), oracle.tanh_cs[layer])
             assert same_bytes(np.tanh(np.take(cells, live, axis=-1)),
                               np.take(oracle.tanh_cs[layer], live, axis=-1))
@@ -580,6 +612,28 @@ class TestKeepLevels:
         assert trace.stack is stack and trace.top.base.shape == (H, B)
         assert sum(o.nbytes for o in owners.values()) == 8 * (
             cfg.n_layers * 5 * T * H * B + cfg.n_layers * H * B + H * B + stack.size)
+
+    @pytest.mark.parametrize("batch,frames", [(64, 198), (96, 98)])
+    @pytest.mark.parametrize("dead_share", [0.0, 0.5])
+    def test_backward_pass_allocates_less_than_one_hidden_sequence(self, batch, frames,
+                                                                   dead_share):
+        """The backward pass works inside the trace it consumes: at the
+        fine-tuning shapes its peak stays below one (T, H, B') array, B' the
+        live rows."""
+        params = init_params(EncoderConfig(n_layers=2, hidden_dim=32))
+        rng = np.random.default_rng(batch)
+        stack = rng.normal(size=(batch, frames, params.config.input_dim))
+        g = rng.normal(size=(batch, params.config.embed_dim))
+        g[:int(dead_share * batch)] = 0.0
+        trace = forward_batch(params, stack)
+        tracemalloc.start()
+        try:
+            backward_batch(params, trace, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_live = batch - int(dead_share * batch)
+        assert peak < 8 * frames * params.config.hidden_dim * n_live, peak
 
     def test_inference_pass_holds_one_hidden_sequence(self):
         """At the evaluation's B240xT98 the full trace is about 85 MB; the
