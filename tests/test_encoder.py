@@ -624,7 +624,8 @@ class TestKeepLevels:
         rng = np.random.default_rng(batch)
         stack = rng.normal(size=(batch, frames, params.config.input_dim))
         g = rng.normal(size=(batch, params.config.embed_dim))
-        g[:int(dead_share * batch)] = 0.0
+        n_dead = int(dead_share * batch)
+        g[:n_dead] = 0.0
         trace = forward_batch(params, stack)
         tracemalloc.start()
         try:
@@ -632,8 +633,7 @@ class TestKeepLevels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_live = batch - int(dead_share * batch)
-        assert peak < 8 * frames * params.config.hidden_dim * n_live, peak
+        assert peak < 8 * frames * params.config.hidden_dim * (batch - n_dead), peak
 
     def test_inference_pass_holds_one_hidden_sequence(self):
         """At the evaluation's B240xT98 the full trace is about 85 MB; the
