@@ -220,6 +220,8 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
         raise EmptyInputError("batch and frame count must both be nonzero")
     if out is not None and not keep:
         raise ParameterError("an inference pass (keep=False) writes no trace into out")
+    if out is not None and not out.gates:
+        raise ParameterError("out is an inference trace (keep=False) and lends no arrays")
     if out is not None and out.stack.shape != stack.shape:
         raise ShapeError(f"out traced a {out.stack.shape} stack, not {stack.shape}")
     B, T, _ = stack.shape

@@ -395,12 +395,22 @@ def augment_file(in_path, out_path, pitch_coeff: float, tempo_coeff: float) -> P
 # Feature extraction and grouped encoding
 
 
+def _features(config: RunConfig):
+    """The run's one feature function: log-mel at the config's n_mels,
+    window and hop. log_mel is looked up here at call time, also on the
+    pool workers that featurize the clips they render."""
+    def featurize(buffer):
+        return log_mel(buffer, config.n_mels, config.win_s, config.hop_s)
+    return featurize
+
+
 def mel_for(utt: Utterance, config: RunConfig, cache: dict):
-    """Log-mel features of utt, kept in cache under its utterance_id."""
-    key = ("mel", utt.utterance_id)
-    if key not in cache:
-        cache[key] = log_mel(utt.buffer, config.n_mels, config.win_s, config.hop_s)
-    return cache[key]
+    """Log-mel features of utt, kept in cache under its utterance_id; a
+    derived clip's (buffer None) were put there by the worker that rendered
+    it."""
+    if utt.utterance_id not in cache:
+        cache[utt.utterance_id] = _features(config)(utt.buffer)
+    return cache[utt.utterance_id]
 
 
 def _grouped_forward(params, mels, previous=None, keep=True):
@@ -464,12 +474,12 @@ def embed_utterances(params, utterances, config: RunConfig, cache: dict):
 # Training
 
 
-def _train(params, batches, objective, lr, clip, config: RunConfig, out_dir,
-           stage: str, checkpoint: str) -> Path:
+def _train(params, batches, objective, lr, clip, config: RunConfig, cache: dict,
+           out_dir, stage: str, checkpoint: str) -> Path:
     """The SGD loop of both training stages. Each batch is a list of
-    utterances; objective(embeddings) returns (loss, grad_embeddings).
-    out_dir is created after the last step: a stage that fails leaves none."""
-    cache = {}
+    utterances, featurized through cache (`mel_for`); objective(embeddings)
+    returns (loss, grad_embeddings). out_dir is created after the last
+    step: a stage that fails leaves none."""
     lines = ["iteration,loss"]
     groups = None  # the last step's consumed traces, overwritten by the next step's
     for iteration, batch in enumerate(batches):
@@ -525,7 +535,7 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
         return loss, demb.reshape(embeddings.shape)
 
     return _train(init_params(config.encoder_config()), batches(), objective,
-                  config.ge2e_lr, config.ge2e_clip, config, out_dir,
+                  config.ge2e_lr, config.ge2e_clip, config, {}, out_dir,
                   "pretrain", "pretrained.ckpt")
 
 
@@ -545,8 +555,12 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
             f"checkpoint expects {params.config.input_dim} mel bands, "
             f"config says {config.n_mels}"
         )
+    # One mel per utterance_id: the pool workers that render the augments
+    # put theirs in, and _train adds the anchors' and cross-speaker negatives'.
+    cache = {}
     # islice pulls no batch past the last one; a pull runs the vocoder.
-    triplets = islice(iter_batches(utterances, config.batch_size, config.seed, {}),
+    triplets = islice(iter_batches(utterances, config.batch_size, config.seed, cache,
+                                   _features(config)),
                       config.triplet_iterations)
     batches = ([u for t in batch for u in (t.anchor, t.positive, t.negative)]
                for batch in triplets)
@@ -562,7 +576,7 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
         return total, grad_out
 
     return _train(params, batches, objective, config.triplet_lr, config.triplet_clip,
-                  config, out_dir, "finetune", "finetuned.ckpt")
+                  config, cache, out_dir, "finetune", "finetuned.ckpt")
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +605,14 @@ def gender_centroids(utterances, embeddings):
     return out
 
 
-def shifted_females(utterances, config: RunConfig) -> list:
+def shifted_females(utterances, config: RunConfig, cache: dict) -> list:
     """Each female utterance pitch-shifted by its severity coefficient (the
-    config's severity where the utterance has none), in input order; the
-    shifts run on the worker pool of `pmap`."""
+    config's severity where the utterance has none), in input order, as a
+    derived utterance with buffer None. Each shift and its log-mel run in
+    one call on the worker pool of `pmap`; cache receives the mel under the
+    derived utterance_id."""
+    featurize = _features(config)
+
     def shift(u):
         severity = u.severity if u.severity is not None else config.severity
         coeff = coeffs_for(severity).pitch_coeff
@@ -602,9 +620,12 @@ def shifted_females(utterances, config: RunConfig) -> list:
             buf = pitch_shift(u.buffer, coeff)
         except EmptyInputError as exc:
             raise EmptyInputError(f"{u.utterance_id}: {exc}") from exc
-        return replace(u, buffer=buf, utterance_id=f"{u.utterance_id}#pitch{coeff}")
+        return (replace(u, buffer=None, utterance_id=f"{u.utterance_id}#pitch{coeff}"),
+                featurize(buf))
 
-    return pmap(shift, [u for u in utterances if u.gender == "female"])
+    shifted = pmap(shift, [u for u in utterances if u.gender == "female"])
+    cache.update((u.utterance_id, mel) for u, mel in shifted)
+    return [u for u, _ in shifted]
 
 
 def probe_shifted_females(params, shifted, config: RunConfig, centroids,
@@ -662,8 +683,9 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
         wer_value = corpus_wer([r.transcript for r in records], hyp_lines)
     params = load_checkpoint(checkpoint)
     utterances = load_utterances(records, config)
-    scores = assess(params, utterances, utterances, shifted_females(utterances, config),
-                    config, {})
+    cache = {}
+    scores = assess(params, utterances, utterances,
+                    shifted_females(utterances, config, cache), config, cache)
     rows = [
         ReportRow("eer", "all", scores["eer"]),
         ReportRow("gender_probe_accuracy", "unmodified",
@@ -729,8 +751,8 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
 
     train_utts = load_utterances(train, config)
     holdout_utts = load_utterances(holdout, config)
-    shifted = shifted_females(holdout_utts, config)
     cache = {}
+    shifted = shifted_females(holdout_utts, config, cache)
     pre, post = (assess(load_checkpoint(ckpt), train_utts, holdout_utts, shifted, config,
                         cache) for ckpt in (pre_ckpt, post_ckpt))
 

@@ -4,6 +4,11 @@ Positives are always tempo-stretched copies of the anchor. Negatives are
 pitch-shifted copies of the anchor for female speakers (a deeper version
 of the same voice) and seeded cross-speaker picks for male speakers,
 where a self-negative from pitch alone would be too easy.
+
+An augmented clip is rendered and featurized in one call on the worker
+pool, and only its features are kept: a derived member of a triplet
+carries no buffer, and its features sit in the caller's cache under its
+utterance_id.
 """
 
 import logging
@@ -25,12 +30,14 @@ SEVERITIES = ("moderate", "moderate_severe")
 @dataclass
 class Utterance:
     """One audio clip with its speaker's gender and severity (None for
-    speakers with no dysarthria setting); utterance_id keys caches."""
+    speakers with no dysarthria setting); utterance_id keys caches. A
+    derived clip (an augment) has buffer None: its features are cached
+    under its utterance_id where it is rendered."""
 
     speaker_id: str
     gender: str
     severity: str
-    buffer: AudioBuffer
+    buffer: AudioBuffer | None
     utterance_id: str
 
     def __post_init__(self):
@@ -66,49 +73,51 @@ def coeffs_for(severity: str) -> AugmentCoeffs:
 
 
 def _augment_requests(anchor: Utterance):
-    """(coeffs, [(kind, coeff), ...]): the augments the policy asks of
-    anchor, a tempo-stretched positive and, for a female, a pitch-shifted
-    self-negative."""
+    """(coeffs, {kind: (coeff, derived utterance_id)}): the augments the
+    policy asks of anchor, a tempo-stretched positive and, for a female, a
+    pitch-shifted self-negative."""
     if anchor.severity is None:
         raise ParameterError(
             f"speaker {anchor.speaker_id} has no severity; cannot pick coefficients"
         )
     coeffs = coeffs_for(anchor.severity)
-    requests = [("tempo", coeffs.tempo_coeff)]
+    kinds = [("tempo", coeffs.tempo_coeff)]
     if anchor.gender == "female":
-        requests.append(("pitch", coeffs.pitch_coeff))
-    return coeffs, requests
+        kinds.append(("pitch", coeffs.pitch_coeff))
+    return coeffs, {kind: (coeff, f"{anchor.utterance_id}#{kind}{coeff}")
+                    for kind, coeff in kinds}
 
 
-def _prefetch(anchors, cache: dict) -> None:
-    """Put every augment the anchors need and cache lacks into cache, each
-    distinct request computed once, on the worker pool."""
-    missing = {}  # cache key -> anchor buffer, in anchor order
+def _prefetch(anchors, cache: dict, featurize) -> None:
+    """Put featurize(clip) of every augment the anchors need and cache
+    lacks into cache under the derived utterance_id. Each distinct request
+    is rendered and featurized in one call on the worker pool, so its audio
+    does not outlive that call."""
+    missing = {}  # derived utterance_id -> (anchor buffer, kind, coeff), in anchor order
     for anchor in anchors:
-        for kind, coeff in _augment_requests(anchor)[1]:
-            key = (anchor.utterance_id, kind, coeff)
-            if key not in cache:
-                missing.setdefault(key, anchor.buffer)
+        for kind, (coeff, utt_id) in _augment_requests(anchor)[1].items():
+            if utt_id not in cache:
+                missing.setdefault(utt_id, (anchor.buffer, kind, coeff))
 
-    def augment(key):
-        _, kind, coeff = key
-        return (tempo_change if kind == "tempo" else pitch_shift)(missing[key], coeff)
+    def render(request):
+        buffer, kind, coeff = request
+        return featurize((tempo_change if kind == "tempo" else pitch_shift)(buffer, coeff))
 
-    cache.update(zip(missing, pmap(augment, list(missing))))
+    cache.update(zip(missing, pmap(render, list(missing.values()))))
 
 
-def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
+def build_triplet(anchor: Utterance, pool, seed: int, cache: dict, featurize) -> Triplet:
     """Assemble one (anchor, positive, negative) per the gender policy.
 
     pool supplies cross-speaker negative candidates for male anchors; it
     may contain same-speaker utterances, which are filtered out here.
-    cache keeps the augmented audio under the anchor's utterance_id.
+    The augmented members carry buffer None: cache keeps featurize(clip)
+    under each one's utterance_id.
     """
     coeffs, requests = _augment_requests(anchor)
-    _prefetch([anchor], cache)  # nothing left to do when iter_batches prefetched
-    augmented = {kind: replace(anchor, buffer=cache[(anchor.utterance_id, kind, coeff)],
-                               utterance_id=f"{anchor.utterance_id}#{kind}{coeff}")
-                 for kind, coeff in requests}
+    _prefetch([anchor], cache, featurize)  # nothing left to do when iter_batches prefetched
+    augmented = {kind: replace(anchor, buffer=None, utterance_id=utt_id)
+                 for kind, (_, utt_id) in requests.items()}
     positive = augmented["tempo"]
     tag = {"pitch_coeff": coeffs.pitch_coeff, "tempo_coeff": coeffs.tempo_coeff}
     if "pitch" in augmented:
@@ -127,11 +136,12 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict) -> Triplet:
     return Triplet(anchor, positive, negative, tag)
 
 
-def iter_batches(utterances, batch_size: int, seed: int, cache: dict):
+def iter_batches(utterances, batch_size: int, seed: int, cache: dict, featurize):
     """Endless stream of training batches: a fresh seeded permutation per
     epoch, consumed in full batches (one short batch per epoch if the pool
-    is smaller than batch_size). Pulling a batch first computes the
-    augments its anchors lack in cache on the worker pool of `pmap`."""
+    is smaller than batch_size). Pulling a batch first renders the augments
+    its anchors lack in cache on the worker pool of `pmap`, each turned
+    into featurize(clip) by the worker that renders it."""
     if batch_size < 1:
         raise ParameterError("batch_size must be at least 1")
     if not utterances:
@@ -148,7 +158,7 @@ def iter_batches(utterances, batch_size: int, seed: int, cache: dict):
             anchors = [utterances[int(idx)] for idx in order[start:start + batch_size]]
             child_seeds = rng.integers(0, 2**31, size=len(anchors))
             # Only a pulled batch runs the vocoder; build_triplet then hits cache.
-            _prefetch(anchors, cache)
-            yield [build_triplet(anchor, utterances, int(child), cache)
+            _prefetch(anchors, cache, featurize)
+            yield [build_triplet(anchor, utterances, int(child), cache, featurize)
                    for anchor, child in zip(anchors, child_seeds)]
         epoch += 1

@@ -50,7 +50,7 @@ def encoder_counts(stats):
             and not name.endswith("_s")}
 
 
-def test_traced_experiment_matches_untraced(tmp_path):
+def test_traced_experiment_matches_untraced(tmp_path, monkeypatch):
     # The tracer's describe functions read arguments by position, so a
     # changed signature shows up only when a traced run calls through them.
     tracing = runpy.run_path(str(TRACING))
@@ -59,9 +59,21 @@ def test_traced_experiment_matches_untraced(tmp_path):
         ge2e_m_utterances=2, ge2e_iterations=3, batch_size=4, triplet_iterations=2,
         holdout_per_speaker=2)
     untraced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "plain")
+    # Each clip whose mel the traced run asks for, per cache; the caches
+    # are kept alive so that no two share an id.
+    caches, featurized = {}, set()
+    mel_for = dsrkit.pipeline.mel_for
+
+    def recording_mel_for(utt, config, cache):
+        caches[id(cache)] = cache
+        featurized.add((id(cache), utt.utterance_id))
+        return mel_for(utt, config, cache)
+
+    monkeypatch.setattr(dsrkit.pipeline, "mel_for", recording_mel_for)
     tracer = locked_tracer(tracing)
     with tracer.installed():
         traced = dsrkit.pipeline.run_gender_experiment(config, tmp_path / "traced")
+    monkeypatch.undo()
     assert traced == untraced
     stats = tracing["layer_stats"](tracer.spans, None)
     # Inference and training both encode through dsrkit.pipeline.forward_batch,
@@ -97,3 +109,7 @@ def test_traced_experiment_matches_untraced(tmp_path):
             - stats.get("augment.pitch_shift.via_sampling.calls", 0)
             == sum(r.gender == "female" for r in holdout))
     assert stats["sampling.vocoder_calls"] >= 1
+    # Augments and probe shifts are featurized on the worker that renders
+    # them, still through the log_mel name the tracer patches: one call per
+    # distinct clip, wherever it runs.
+    assert stats["audio.log_mel.calls"] == len(featurized)

@@ -600,6 +600,13 @@ class TestKeepLevels:
         with pytest.raises(ParameterError, match="keep=False"):
             forward_batch(params, stack, out=forward_batch(params, stack), keep=False)
 
+    def test_inference_trace_as_out_of_training_pass_rejected(self):
+        params = init_params(SMALL)
+        stack = np.random.default_rng(8).normal(size=(2, 3, 5))
+        inference = forward_batch(params, stack, keep=False)
+        with pytest.raises(ParameterError, match="inference trace"):
+            forward_batch(params, stack, out=inference)
+
     def test_training_trace_keeps_five_floats_per_layer_step(self):
         cfg = EncoderConfig(n_layers=3, hidden_dim=8, embed_dim=4, input_dim=5)
         B, T, H = 6, 7, cfg.hidden_dim

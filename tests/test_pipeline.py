@@ -17,6 +17,7 @@ from dsrkit.audio import (
     AudioBuffer,
     MelFrames,
     VoiceSpec,
+    log_mel,
     read_wav,
     synth_voice,
     write_wav,
@@ -690,8 +691,10 @@ class TestShiftedFemales:
                       Utterance("m1", "male", "moderate", buf, "m1-0"),
                       Utterance("f2", "female", None, buf, "f2-0")]
         config = RunConfig(**{**vars(TINY), "severity": "moderate_severe"})
-        shifted = shifted_females(utterances, config)
+        cache = {}
+        shifted = shifted_females(utterances, config, cache)
         assert [u.utterance_id for u in shifted] == ["f1-0#pitch0.25", "f2-0#pitch0.5"]
+        assert set(cache) == {u.utterance_id for u in shifted}
 
     def test_equals_serial_loop(self, tiny_corpus):
         _, records = tiny_corpus
@@ -702,12 +705,17 @@ class TestShiftedFemales:
         for u in utterances:
             if u.gender == "female":
                 coeff = coeffs_for(u.severity or TINY.severity).pitch_coeff
-                want.append((f"{u.utterance_id}#pitch{coeff}",
-                             pitch_shift(u.buffer, coeff).samples.view(np.int64)))
-        got = shifted_females(utterances, TINY)
+                mel = log_mel(pitch_shift(u.buffer, coeff), TINY.n_mels, TINY.win_s,
+                              TINY.hop_s)
+                want.append((f"{u.utterance_id}#pitch{coeff}", mel.frames.view(np.int64)))
+        cache = {}
+        got = shifted_females(utterances, TINY, cache)
         assert [u.utterance_id for u in got] == [utt_id for utt_id, _ in want]
-        for u, (_, samples) in zip(got, want):
-            assert np.array_equal(u.buffer.samples.view(np.int64), samples)
+        assert list(cache) == [utt_id for utt_id, _ in want]
+        for u, (_, frames) in zip(got, want):
+            # The shifted audio does not outlive the worker call that featurized it.
+            assert u.buffer is None
+            assert np.array_equal(cache[u.utterance_id].frames.view(np.int64), frames)
 
 
 class TestAssess:
@@ -884,6 +892,32 @@ class TestTrainingLoop:
         finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
         # 12 anchors, 12 tempo positives, 6 female pitch-shifted negatives.
         assert forwarded == distinct == [30] * 3
+
+    def test_finetune_keeps_mels_not_augmented_audio(self, pretrained, tmp_path,
+                                                     monkeypatch):
+        manifest, ckpt = pretrained
+        config = RunConfig(**{**vars(TINY), "triplet_iterations": 4})
+        caches, derived = [], []
+        iter_batches = dsrkit.pipeline.iter_batches
+
+        def recording_batches(utterances, batch_size, seed, cache, featurize):
+            caches.append(cache)
+            for batch in iter_batches(utterances, batch_size, seed, cache, featurize):
+                derived.extend(t.positive for t in batch)
+                derived.extend(t.negative for t in batch
+                               if t.policy_tag["negative_source"] == "self_pitch_shift")
+                yield batch
+
+        monkeypatch.setattr(dsrkit.pipeline, "iter_batches", recording_batches)
+        finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        [cache] = caches
+        assert derived and any(u.gender == "female" for u in derived)
+        # Every augment was featurized by the worker that rendered it; the
+        # training loop added the anchors' and negatives' mels to the same cache.
+        assert all(u.buffer is None for u in derived)
+        assert {u.utterance_id for u in derived} < set(cache)
+        assert not any(isinstance(v, AudioBuffer) for v in cache.values())
+        assert all(isinstance(v, MelFrames) for v in cache.values())
 
 
 class TestGroupedEncoding:

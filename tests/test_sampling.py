@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import dsrkit.pipeline
 import dsrkit.sampling
 from dsrkit.audio import AudioBuffer
 from dsrkit.augment import pitch_shift, tempo_change
@@ -27,6 +28,15 @@ def tone_utt(speaker_id, gender, severity, f0, utt_id, duration_s=0.5):
     t = np.arange(int(SR * duration_s)) / SR
     buf = AudioBuffer(0.5 * np.sin(2 * np.pi * f0 * t), SR)
     return Utterance(speaker_id, gender, severity, buf, utterance_id=utt_id)
+
+
+def audio(buffer):
+    """Identity featurizer: the cache keeps each augment's audio."""
+    return buffer
+
+
+# The pipeline's feature function: log-mel at the default config.
+MEL = dsrkit.pipeline._features(dsrkit.pipeline.RunConfig())
 
 
 def fft_peak_hz(buf):
@@ -65,33 +75,39 @@ class TestBuildTriplet:
     def test_female_policy(self, small_pool):
         utts = small_pool
         anchor = utts[0]
-        trip = build_triplet(anchor, utts, seed=1, cache={})
+        cache = {}
+        trip = build_triplet(anchor, utts, seed=1, cache=cache, featurize=audio)
         assert trip.positive.speaker_id == "f1"
         assert trip.negative.speaker_id == "f1"
         assert trip.policy_tag["negative_source"] == "self_pitch_shift"
         assert trip.policy_tag["pitch_coeff"] == 0.5
         # Derived clips keep the anchor's speaker metadata.
+        # Their audio is in the cache, not on the members.
         for clip in (trip.positive, trip.negative):
             assert (clip.gender, clip.severity) == ("female", "moderate_severe")
+            assert clip.buffer is None
+        assert set(cache) == {"f1-0#tempo0.5", "f1-0#pitch0.5"}
         # tempo 0.5 doubles the positive; pitch 0.5 scales the negative by 0.75
-        assert abs(len(trip.positive.buffer) - 2 * len(anchor.buffer)) \
-            <= 0.01 * 2 * len(anchor.buffer)
-        assert abs(fft_peak_hz(trip.negative.buffer) - 0.75 * 220.0) <= 0.03 * 165.0
+        positive, negative = cache[trip.positive.utterance_id], cache[trip.negative.utterance_id]
+        assert abs(len(positive) - 2 * len(anchor.buffer)) <= 0.01 * 2 * len(anchor.buffer)
+        assert abs(fft_peak_hz(negative) - 0.75 * 220.0) <= 0.03 * 165.0
 
     def test_male_policy_uses_cross_speaker_negative(self, small_pool):
         utts = small_pool
         anchor = utts[2]
-        trip = build_triplet(anchor, utts, seed=5, cache={})
+        cache = {}
+        trip = build_triplet(anchor, utts, seed=5, cache=cache, featurize=audio)
         assert trip.negative.speaker_id != "m1"
         assert trip.policy_tag["negative_source"].startswith("cross_speaker:")
-        assert abs(len(trip.positive.buffer) - 2 * len(anchor.buffer)) \
-            <= 0.01 * 2 * len(anchor.buffer)
+        assert trip.negative in utts
+        positive = cache[trip.positive.utterance_id]
+        assert abs(len(positive) - 2 * len(anchor.buffer)) <= 0.01 * 2 * len(anchor.buffer)
 
     def test_male_same_seed_same_negative(self, small_pool):
         utts = small_pool
         anchor = utts[2]
-        first = build_triplet(anchor, utts, seed=9, cache={})
-        second = build_triplet(anchor, utts, seed=9, cache={})
+        first = build_triplet(anchor, utts, seed=9, cache={}, featurize=audio)
+        second = build_triplet(anchor, utts, seed=9, cache={}, featurize=audio)
         assert first.negative.utterance_id == second.negative.utterance_id
 
     def test_male_empty_pool_rejected(self, small_pool):
@@ -99,32 +115,42 @@ class TestBuildTriplet:
         anchor = utts[2]
         same_speaker_only = [u for u in utts if u.speaker_id == "m1"]
         with pytest.raises(SamplingError):
-            build_triplet(anchor, same_speaker_only, seed=0, cache={})
+            build_triplet(anchor, same_speaker_only, seed=0, cache={}, featurize=audio)
 
     def test_missing_severity_rejected(self, small_pool):
         utts = small_pool
         anchor = dataclasses.replace(utts[0], severity=None)
         with pytest.raises(ParameterError):
-            build_triplet(anchor, utts, seed=0, cache={})
+            build_triplet(anchor, utts, seed=0, cache={}, featurize=audio)
 
     def test_moderate_severity_coeffs_applied(self, small_pool):
         utts = small_pool
         anchor = utts[4]
-        trip = build_triplet(anchor, utts, seed=2, cache={})
+        cache = {}
+        trip = build_triplet(anchor, utts, seed=2, cache=cache, featurize=audio)
         assert trip.policy_tag == {
             "pitch_coeff": 0.25, "tempo_coeff": 0.7,
             "negative_source": trip.policy_tag["negative_source"],
         }
         target = len(anchor.buffer) / 0.7
-        assert abs(len(trip.positive.buffer) - target) <= 0.01 * target
+        assert abs(len(cache[trip.positive.utterance_id]) - target) <= 0.01 * target
 
     def test_cache_reuses_augmented_audio(self, small_pool):
         utts = small_pool
-        cache = {}
-        a = build_triplet(utts[0], utts, seed=1, cache=cache)
-        b = build_triplet(utts[0], utts, seed=2, cache=cache)
-        assert a.positive.buffer is b.positive.buffer
-        assert a.negative.buffer is b.negative.buffer
+        cache, featurized = {}, []
+
+        def counted(buffer):
+            featurized.append(buffer)
+            return buffer
+
+        a = build_triplet(utts[0], utts, seed=1, cache=cache, featurize=counted)
+        kept = dict(cache)
+        b = build_triplet(utts[0], utts, seed=2, cache=cache, featurize=counted)
+        assert len(featurized) == 2
+        assert (a.positive.utterance_id, a.negative.utterance_id) \
+            == (b.positive.utterance_id, b.negative.utterance_id)
+        assert cache.keys() == kept.keys()
+        assert all(cache[k] is kept[k] for k in kept)
 
 
 class TestTripletInvariants:
@@ -151,7 +177,8 @@ class TestProfiles:
 
 
 def first_batch(utts, batch_size, seed):
-    return next(iter_batches(utts, batch_size=batch_size, seed=seed, cache={}))
+    return next(iter_batches(utts, batch_size=batch_size, seed=seed, cache={},
+                             featurize=audio))
 
 
 class TestMakeBatch:
@@ -196,7 +223,7 @@ class TestIterBatches:
     def test_stream_is_deterministic(self, small_pool):
         utts = small_pool
         def take(n):
-            gen = iter_batches(utts, batch_size=2, seed=5, cache={})
+            gen = iter_batches(utts, batch_size=2, seed=5, cache={}, featurize=audio)
             out = []
             for _ in range(n):
                 out.append([(t.anchor.utterance_id, t.negative.utterance_id)
@@ -206,7 +233,7 @@ class TestIterBatches:
 
     def test_epoch_covers_pool_without_replacement(self, small_pool):
         utts = small_pool
-        gen = iter_batches(utts, batch_size=1, seed=3, cache={})
+        gen = iter_batches(utts, batch_size=1, seed=3, cache={}, featurize=audio)
         seen = [next(gen)[0].anchor.utterance_id for _ in range(len(utts))]
         assert sorted(seen) == sorted(u.utterance_id for u in utts)
 
@@ -221,23 +248,38 @@ def requests_of(batch):
     return out
 
 
+def payload(features):
+    return features.samples if isinstance(features, AudioBuffer) else features.frames
+
+
 class TestPrefetch:
-    """A pulled batch runs its vocoder calls on the worker pool; the cache
-    and the triplets must be exactly what the serial calls give."""
+    """A pulled batch renders and featurizes its augments on the worker
+    pool; the cache and the triplets must be exactly what the serial calls
+    give."""
 
     def test_cached_buffers_equal_direct_calls(self, small_pool):
-        cache = {}
-        gen = iter_batches(small_pool, batch_size=3, seed=2, cache=cache)
-        batches = [next(gen) for _ in range(4)]
         by_id = {u.utterance_id: u for u in small_pool}
         direct = {"tempo": tempo_change, "pitch": pitch_shift}
-        assert set(cache) == set().union(*map(requests_of, batches))
-        for (utt_id, kind, coeff), buf in cache.items():
-            want = direct[kind](by_id[utt_id].buffer, coeff)
-            assert np.array_equal(buf.samples.view(np.int64), want.samples.view(np.int64))
-        for t in (t for batch in batches for t in batch):
-            key = (t.anchor.utterance_id, "tempo", t.policy_tag["tempo_coeff"])
-            assert t.positive.buffer is cache[key]
+        for featurize in (audio, MEL):
+            cache = {}
+            gen = iter_batches(small_pool, batch_size=3, seed=2, cache=cache,
+                               featurize=featurize)
+            batches = [next(gen) for _ in range(4)]
+            requests = set().union(*map(requests_of, batches))
+            # Keyed by the derived clip's utterance_id.
+            assert set(cache) == {f"{utt_id}#{kind}{coeff}"
+                                  for utt_id, kind, coeff in requests}
+            for utt_id, kind, coeff in requests:
+                want = featurize(direct[kind](by_id[utt_id].buffer, coeff))
+                got = cache[f"{utt_id}#{kind}{coeff}"]
+                assert type(got) is type(want)
+                assert np.array_equal(payload(got).view(np.int64),
+                                      payload(want).view(np.int64))
+            for t in (t for batch in batches for t in batch):
+                assert t.positive.utterance_id == (
+                    f"{t.anchor.utterance_id}#tempo{t.policy_tag['tempo_coeff']}")
+                assert t.positive.buffer is None
+                assert t.positive.utterance_id in cache
 
     def test_one_vocoder_call_per_distinct_request(self, small_pool, monkeypatch):
         lock = threading.Lock()
@@ -256,7 +298,7 @@ class TestPrefetch:
         sys.setswitchinterval(1e-6)
         try:
             # 5 utterances, 2 per batch: 5 pulls span 3 epochs, so anchors repeat.
-            gen = iter_batches(small_pool, batch_size=2, seed=9, cache={})
+            gen = iter_batches(small_pool, batch_size=2, seed=9, cache={}, featurize=audio)
             seen = set()
             for _ in range(5):
                 seen |= requests_of(next(gen))
@@ -269,4 +311,4 @@ class TestPrefetch:
     def test_missing_severity_rejected_in_batch(self, small_pool):
         pool = small_pool + [tone_utt("x1", "female", None, 200.0, "x1-0")]
         with pytest.raises(ParameterError, match="has no severity"):
-            next(iter_batches(pool, batch_size=len(pool), seed=0, cache={}))
+            next(iter_batches(pool, batch_size=len(pool), seed=0, cache={}, featurize=audio))
