@@ -47,6 +47,7 @@ Checkpoint layout (version 1, all little-endian):
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -443,31 +444,40 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
+    """Read a checkpoint, bounding every read by the header: the file's
+    size is checked against the size the header's dims give before the
+    tensors are read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    if len(blob) < _HEADER_BYTES:
-        raise FormatError(f"{path}: truncated checkpoint header ({len(blob)} bytes)")
-    (version,) = struct.unpack_from("<i", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedFormatError(f"{path}: checkpoint version {version} not supported")
-    n_layers, hidden, embed, input_dim, seed = struct.unpack_from("<5i", blob, 8)
-    if min(n_layers, hidden, embed, input_dim) < 1:
-        raise FormatError(f"{path}: non-positive dimension in checkpoint header")
-    # Bound the header against the file before building anything sized by
-    # it: every tensor needs at least its 12 length bytes and its data.
-    h = hidden
-    floats = (4 * h * (input_dim + h + 1) + (n_layers - 1) * 4 * h * (2 * h + 1)
-              + embed * (h + 1))
-    least = _HEADER_BYTES + 12 * (3 * n_layers + 2) + 8 * floats
-    if least > len(blob):
-        raise FormatError(
-            f"{path}: header needs at least {least} bytes, file has {len(blob)}")
-    cfg = EncoderConfig(n_layers, hidden, embed, input_dim, seed)
+        blob = fh.read(_HEADER_BYTES)
+        size = os.fstat(fh.fileno()).st_size
+        if blob[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic")
+        if len(blob) < _HEADER_BYTES:
+            raise FormatError(f"{path}: truncated checkpoint header ({len(blob)} bytes)")
+        (version,) = struct.unpack_from("<i", blob, 4)
+        if version != CHECKPOINT_VERSION:
+            raise UnsupportedFormatError(f"{path}: checkpoint version {version} not supported")
+        n_layers, hidden, embed, input_dim, seed = struct.unpack_from("<5i", blob, 8)
+        if min(n_layers, hidden, embed, input_dim) < 1:
+            raise FormatError(f"{path}: non-positive dimension in checkpoint header")
+        # Bound the header against the file before building anything sized by
+        # it: every tensor needs at least its 12 length bytes and its data.
+        h = hidden
+        floats = (4 * h * (input_dim + h + 1) + (n_layers - 1) * 4 * h * (2 * h + 1)
+                  + embed * (h + 1))
+        least = _HEADER_BYTES + 12 * (3 * n_layers + 2) + 8 * floats
+        if least > size:
+            raise FormatError(f"{path}: header needs at least {least} bytes, file has {size}")
+        cfg = EncoderConfig(n_layers, hidden, embed, input_dim, seed)
+        layout = list(_layout(cfg))
+        exact = _HEADER_BYTES + sum(len(head) + 8 * math.prod(shape)
+                                    for _, shape, head in layout)
+        if size > exact:
+            raise FormatError(f"{path}: {size - exact} trailing bytes after tensors")
+        blob += fh.read(size - _HEADER_BYTES)
     tensors = {}
     offset = _HEADER_BYTES
-    for name, shape, head in _layout(cfg):
+    for name, shape, head in layout:
         start = offset + len(head)
         if blob[offset:start] != head:
             raise FormatError(f"{path}: expected the head of tensor {name} ({head!r}), "
@@ -476,6 +486,4 @@ def load_checkpoint(path) -> EncoderParams:
         if offset > len(blob):
             raise FormatError(f"{path}: truncated data for {name}")
         tensors[name] = np.frombuffer(blob[start:offset], dtype="<f8").reshape(shape).copy()
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after tensors")
     return EncoderParams(cfg, tensors)

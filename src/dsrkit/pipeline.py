@@ -33,6 +33,7 @@ from .encoder import (
 )
 from .errors import (
     EmptyInputError,
+    FormatError,
     InsufficientBatchError,
     ManifestError,
     NumericError,
@@ -57,6 +58,7 @@ from .sampling import (
     GENDERS,
     SEVERITIES,
     Utterance,
+    cache_features,
     coeffs_for,
     iter_batches,
 )
@@ -308,12 +310,14 @@ def write_manifest(records, path) -> Path:
     return path
 
 
-def load_utterances(records, config: RunConfig) -> list:
-    """Decode each record's WAV; its rate must be config.sample_rate, which
-    the mel window, hop and filterbank are defined against, and it must
-    hold at least one mel window."""
-    utterances = []
-    for r in records:
+def load_utterances(records, config: RunConfig, augmented: bool) -> list:
+    """Check each record's WAV and return its utterance, which holds no
+    audio. Each WAV is decoded in one call on the worker pool of `pmap`: its
+    rate must be config.sample_rate, which the mel window, hop and
+    filterbank are defined against, and it must hold at least one mel
+    window, and augment.MIN_SAMPLES if every clip is to be augmented. The
+    first bad WAV in record order is named."""
+    def check(r):
         buf = read_wav(r.wav_path)
         if buf.sample_rate != config.sample_rate:
             raise ValidationError(
@@ -322,11 +326,13 @@ def load_utterances(records, config: RunConfig) -> list:
             )
         try:
             mel_window_length(buf, config.win_s)
+            if augmented:
+                check_input(buf)
         except EmptyInputError as exc:
             raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
-        utterances.append(Utterance(r.speaker_id, r.gender, r.severity, buf,
-                                    utterance_id=r.wav_path))
-    return utterances
+
+    pmap(check, records)
+    return [Utterance(r.speaker_id, r.gender, r.severity, r.wav_path) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +402,41 @@ def augment_file(in_path, out_path, pitch_coeff: float, tempo_coeff: float) -> P
 
 
 def _features(config: RunConfig):
-    """The run's one feature function: log-mel at the config's n_mels,
-    window and hop. log_mel is looked up here at call time, also on the
-    pool workers that featurize the clips they render."""
-    def featurize(buffer):
-        return log_mel(buffer, config.n_mels, config.win_s, config.hop_s)
+    """The run's one feature function, featurize(utterance_id, transforms):
+    decode the corpus clip that utterance_id names (its WAV path) and return
+    the log-mel, at the config's n_mels, window and hop, of transform(clip)
+    for each transform (of the clip itself for None). read_wav and log_mel
+    are looked up here at call time, also on the pool workers that call it
+    (`cache_features`), so no decoded audio outlives the call."""
+    def featurize(utterance_id, transforms):
+        try:
+            clip = read_wav(utterance_id)
+        except OSError as exc:
+            raise FormatError(f"{utterance_id}: features not cached and no WAV to decode "
+                              f"({exc.strerror or exc}); a derived clip's features are "
+                              f"cached where it is rendered") from exc
+        try:
+            return [log_mel(clip if t is None else t(clip), config.n_mels, config.win_s,
+                            config.hop_s) for t in transforms]
+        except EmptyInputError as exc:
+            raise EmptyInputError(f"{utterance_id}: {exc}") from exc
     return featurize
 
 
+def _cache_mels(utterances, config: RunConfig, cache: dict) -> None:
+    """Put the log-mel of each utterance that cache lacks into cache, each
+    clip decoded and featurized in one call on the worker pool."""
+    cache_features({u.utterance_id: {u.utterance_id: None} for u in utterances}, cache,
+                   _features(config))
+
+
 def mel_for(utt: Utterance, config: RunConfig, cache: dict):
-    """Log-mel features of utt, kept in cache under its utterance_id; a
-    derived clip's (buffer None) were put there by the worker that rendered
-    it."""
+    """Log-mel features of utt, kept in cache under its utterance_id. A
+    corpus clip that cache lacks is decoded and featurized on the worker
+    pool first; a derived clip's were put there by the worker that rendered
+    it, and one that cache lacks raises FormatError naming it."""
     if utt.utterance_id not in cache:
-        cache[utt.utterance_id] = _features(config)(utt.buffer)
+        _cache_mels([utt], config, cache)
     return cache[utt.utterance_id]
 
 
@@ -465,6 +492,7 @@ def _grouped_backward(params, groups, grad_out):
 
 
 def embed_utterances(params, utterances, config: RunConfig, cache: dict):
+    _cache_mels(utterances, config, cache)
     mels = [mel_for(u, config, cache) for u in utterances]
     embeddings, _ = _grouped_forward(params, mels, keep=False)
     return embeddings
@@ -477,12 +505,14 @@ def embed_utterances(params, utterances, config: RunConfig, cache: dict):
 def _train(params, batches, objective, lr, clip, config: RunConfig, cache: dict,
            out_dir, stage: str, checkpoint: str) -> Path:
     """The SGD loop of both training stages. Each batch is a list of
-    utterances, featurized through cache (`mel_for`); objective(embeddings)
-    returns (loss, grad_embeddings). out_dir is created after the last
-    step: a stage that fails leaves none."""
+    utterances, featurized through cache (`mel_for`), whose missing mels are
+    first made on the worker pool; objective(embeddings) returns (loss,
+    grad_embeddings). out_dir is created after the last step: a stage that
+    fails leaves none."""
     lines = ["iteration,loss"]
     groups = None  # the last step's consumed traces, overwritten by the next step's
     for iteration, batch in enumerate(batches):
+        _cache_mels(batch, config, cache)
         try:
             embeddings, groups = _grouped_forward(
                 params, [mel_for(u, config, cache) for u in batch], groups)
@@ -502,8 +532,7 @@ def _train(params, batches, objective, lr, clip, config: RunConfig, cache: dict,
 
 def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
     """GE2E pretraining on N speakers x M utterances per iteration."""
-    records = load_manifest(manifest_path)
-    utterances = load_utterances(records, config)
+    utterances = load_utterances(load_manifest(manifest_path), config, False)
     by_speaker = {}
     for u in utterances:
         by_speaker.setdefault(u.speaker_id, []).append(u)
@@ -542,21 +571,16 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
 def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
                      out_dir) -> Path:
     """Triplet fine-tuning, backpropagating through all three branches."""
-    utterances = load_utterances(load_manifest(manifest_path), config)
     # Any clip can be drawn as an anchor, and every anchor is stretched.
-    for u in utterances:
-        try:
-            check_input(u.buffer)
-        except EmptyInputError as exc:
-            raise EmptyInputError(f"{u.utterance_id}: {exc}") from exc
+    utterances = load_utterances(load_manifest(manifest_path), config, True)
     params = load_checkpoint(base_checkpoint)
     if params.config.input_dim != config.n_mels:
         raise ShapeError(
             f"checkpoint expects {params.config.input_dim} mel bands, "
             f"config says {config.n_mels}"
         )
-    # One mel per utterance_id: the pool workers that render the augments
-    # put theirs in, and _train adds the anchors' and cross-speaker negatives'.
+    # One mel per utterance_id: the pool call that decodes an anchor puts in
+    # its mel and its augments', and _train adds the cross-speaker negatives'.
     cache = {}
     # islice pulls no batch past the last one; a pull runs the vocoder.
     triplets = islice(iter_batches(utterances, config.batch_size, config.seed, cache,
@@ -608,24 +632,19 @@ def gender_centroids(utterances, embeddings):
 def shifted_females(utterances, config: RunConfig, cache: dict) -> list:
     """Each female utterance pitch-shifted by its severity coefficient (the
     config's severity where the utterance has none), in input order, as a
-    derived utterance with buffer None. Each shift and its log-mel run in
-    one call on the worker pool of `pmap`; cache receives the mel under the
-    derived utterance_id."""
-    featurize = _features(config)
-
-    def shift(u):
-        severity = u.severity if u.severity is not None else config.severity
-        coeff = coeffs_for(severity).pitch_coeff
-        try:
-            buf = pitch_shift(u.buffer, coeff)
-        except EmptyInputError as exc:
-            raise EmptyInputError(f"{u.utterance_id}: {exc}") from exc
-        return (replace(u, buffer=None, utterance_id=f"{u.utterance_id}#pitch{coeff}"),
-                featurize(buf))
-
-    shifted = pmap(shift, [u for u in utterances if u.gender == "female"])
-    cache.update((u.utterance_id, mel) for u, mel in shifted)
-    return [u for u, _ in shifted]
+    derived utterance. Each female is decoded once, in one call on the
+    worker pool that puts the log-mels of her clip and of its shift into
+    cache, the shift's under the derived utterance_id."""
+    wanted, shifted = {}, []
+    for u in utterances:
+        if u.gender == "female":
+            coeff = coeffs_for(u.severity if u.severity is not None
+                               else config.severity).pitch_coeff
+            shifted.append(replace(u, utterance_id=f"{u.utterance_id}#pitch{coeff}"))
+            wanted.setdefault(u.utterance_id, {u.utterance_id: None})[
+                shifted[-1].utterance_id] = lambda clip, coeff=coeff: pitch_shift(clip, coeff)
+    cache_features(wanted, cache, _features(config))
+    return shifted
 
 
 def probe_shifted_females(params, shifted, config: RunConfig, centroids,
@@ -682,7 +701,7 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
                 f"{hypotheses_path}: hypotheses are not UTF-8 ({exc})") from exc
         wer_value = corpus_wer([r.transcript for r in records], hyp_lines)
     params = load_checkpoint(checkpoint)
-    utterances = load_utterances(records, config)
+    utterances = load_utterances(records, config, False)
     cache = {}
     scores = assess(params, utterances, utterances,
                     shifted_females(utterances, config, cache), config, cache)
@@ -729,11 +748,10 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
     """Synthesize, pretrain, fine-tune, then `assess` both checkpoints,
     enrolling the training utterances and testing the holdout.
 
-    Both assessments run after training, on audio decoded once, one set of
-    shifted holdout females and one mel cache, so no decoded audio is held
-    through fine-tuning. Returns the measured rates; also writes all
-    artifacts under out_dir (corpus/, pretrain/, finetune/,
-    experiment_report.{txt,csv}).
+    Both assessments run after training, on one set of shifted holdout
+    females and one mel cache; no stage keeps decoded audio. Returns the
+    measured rates; also writes all artifacts under out_dir (corpus/,
+    pretrain/, finetune/, experiment_report.{txt,csv}).
     """
     if config.holdout_per_speaker < 1:
         raise ParameterError("gender experiment needs at least one held-out "
@@ -749,8 +767,8 @@ def run_gender_experiment(config: RunConfig, out_dir) -> dict:
     pre_ckpt = pretrain_ge2e(train_manifest, config, out / "pretrain")
     post_ckpt = finetune_triplet(train_manifest, pre_ckpt, config, out / "finetune")
 
-    train_utts = load_utterances(train, config)
-    holdout_utts = load_utterances(holdout, config)
+    train_utts = load_utterances(train, config, False)
+    holdout_utts = load_utterances(holdout, config, False)
     cache = {}
     shifted = shifted_females(holdout_utts, config, cache)
     pre, post = (assess(load_checkpoint(ckpt), train_utts, holdout_utts, shifted, config,

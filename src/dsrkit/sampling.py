@@ -5,10 +5,11 @@ pitch-shifted copies of the anchor for female speakers (a deeper version
 of the same voice) and seeded cross-speaker picks for male speakers,
 where a self-negative from pitch alone would be too easy.
 
-An augmented clip is rendered and featurized in one call on the worker
-pool, and only its features are kept: a derived member of a triplet
-carries no buffer, and its features sit in the caller's cache under its
-utterance_id.
+An utterance holds no audio. A corpus clip's utterance_id is its WAV
+path; an augment's is derived from it (``f01-00.wav#tempo0.5``). A pulled
+anchor is decoded once, in one call on the worker pool that makes its own
+features and those of its augments, and only the features are kept, in the
+caller's cache under their utterance_ids.
 """
 
 import logging
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .audio import AudioBuffer
 from .augment import AugmentCoeffs, pitch_shift, tempo_change
 from .errors import ParameterError, SamplingError
 from .parallel import pmap
@@ -29,15 +29,14 @@ SEVERITIES = ("moderate", "moderate_severe")
 
 @dataclass
 class Utterance:
-    """One audio clip with its speaker's gender and severity (None for
-    speakers with no dysarthria setting); utterance_id keys caches. A
-    derived clip (an augment) has buffer None: its features are cached
-    under its utterance_id where it is rendered."""
+    """One clip's speaker, gender and severity (None for speakers with no
+    dysarthria setting), and the utterance_id that keys caches: a corpus
+    clip's WAV path, or a derived clip's id (an augment), whose features
+    are cached where it is rendered."""
 
     speaker_id: str
     gender: str
     severity: str
-    buffer: AudioBuffer | None
     utterance_id: str
 
     def __post_init__(self):
@@ -88,22 +87,37 @@ def _augment_requests(anchor: Utterance):
                     for kind, coeff in kinds}
 
 
+def _augment(kind: str, coeff: float):
+    """The transform that renders augment kind at coeff; tempo_change and
+    pitch_shift are looked up when it runs."""
+    return lambda clip: (tempo_change if kind == "tempo" else pitch_shift)(clip, coeff)
+
+
+def cache_features(wanted: dict, cache: dict, featurize) -> None:
+    """Fill cache from wanted, {corpus utterance_id: {feature id: transform}}.
+    Each clip with a feature id that cache lacks costs one call on the worker
+    pool, featurize(utterance_id, transforms), which decodes the clip once
+    and returns the features of transform(clip) for each missing id (of the
+    clip itself for transform None); so no audio outlives that call."""
+    jobs = []  # (utterance_id, {missing feature id: transform}), in wanted's order
+    for utt_id, features in wanted.items():
+        missing = {f: t for f, t in features.items() if f not in cache}
+        if missing:
+            jobs.append((utt_id, missing))
+    done = pmap(lambda job: featurize(job[0], list(job[1].values())), jobs)
+    for (_, missing), features in zip(jobs, done):
+        cache.update(zip(missing, features))
+
+
 def _prefetch(anchors, cache: dict, featurize) -> None:
-    """Put featurize(clip) of every augment the anchors need and cache
-    lacks into cache under the derived utterance_id. Each distinct request
-    is rendered and featurized in one call on the worker pool, so its audio
-    does not outlive that call."""
-    missing = {}  # derived utterance_id -> (anchor buffer, kind, coeff), in anchor order
+    """Cache the features of each anchor and of every augment it needs, each
+    anchor decoded once on the worker pool (`cache_features`)."""
+    wanted = {}
     for anchor in anchors:
-        for kind, (coeff, utt_id) in _augment_requests(anchor)[1].items():
-            if utt_id not in cache:
-                missing.setdefault(utt_id, (anchor.buffer, kind, coeff))
-
-    def render(request):
-        buffer, kind, coeff = request
-        return featurize((tempo_change if kind == "tempo" else pitch_shift)(buffer, coeff))
-
-    cache.update(zip(missing, pmap(render, list(missing.values()))))
+        wanted.setdefault(anchor.utterance_id, {anchor.utterance_id: None}).update(
+            (utt_id, _augment(kind, coeff))
+            for kind, (coeff, utt_id) in _augment_requests(anchor)[1].items())
+    cache_features(wanted, cache, featurize)
 
 
 def build_triplet(anchor: Utterance, pool, seed: int, cache: dict, featurize) -> Triplet:
@@ -111,12 +125,13 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict, featurize) ->
 
     pool supplies cross-speaker negative candidates for male anchors; it
     may contain same-speaker utterances, which are filtered out here.
-    The augmented members carry buffer None: cache keeps featurize(clip)
-    under each one's utterance_id.
+    cache holds the features of the anchor and of its augmented members
+    under their utterance_ids (`_prefetch`); a cross-speaker negative's are
+    left to the caller.
     """
     coeffs, requests = _augment_requests(anchor)
     _prefetch([anchor], cache, featurize)  # nothing left to do when iter_batches prefetched
-    augmented = {kind: replace(anchor, buffer=None, utterance_id=utt_id)
+    augmented = {kind: replace(anchor, utterance_id=utt_id)
                  for kind, (_, utt_id) in requests.items()}
     positive = augmented["tempo"]
     tag = {"pitch_coeff": coeffs.pitch_coeff, "tempo_coeff": coeffs.tempo_coeff}
@@ -139,9 +154,10 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict, featurize) ->
 def iter_batches(utterances, batch_size: int, seed: int, cache: dict, featurize):
     """Endless stream of training batches: a fresh seeded permutation per
     epoch, consumed in full batches (one short batch per epoch if the pool
-    is smaller than batch_size). Pulling a batch first renders the augments
-    its anchors lack in cache on the worker pool of `pmap`, each turned
-    into featurize(clip) by the worker that renders it."""
+    is smaller than batch_size). Pulling a batch first makes the features
+    its anchors and their augments lack in cache on the worker pool of
+    `pmap`, each anchor decoded once by featurize(utterance_id, transforms)
+    (`cache_features`)."""
     if batch_size < 1:
         raise ParameterError("batch_size must be at least 1")
     if not utterances:

@@ -831,6 +831,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="1 trailing bytes"):
             load_checkpoint(path)
 
+    def test_oversized_file_rejected_before_reading_it(self, tmp_path):
+        """A valid checkpoint extended sparsely to 1 GiB: the size the header
+        gives bounds the read, so the trailing bytes are refused unread."""
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"{2**30 - size} trailing bytes"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
     @pytest.mark.parametrize("part", ["name length", "name byte", "element count"])
     def test_corrupt_record_head_names_its_tensor(self, tmp_path, part):
         """Walk the documented layout (28-byte header, then per tensor a

@@ -5,6 +5,8 @@ import configparser
 import csv
 import dataclasses
 import json
+import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from dsrkit.encoder import (
     zero_grads,
 )
 from dsrkit.errors import (
+    DsrkitError,
     EmptyInputError,
     InsufficientBatchError,
     ManifestError,
@@ -53,6 +56,7 @@ from dsrkit.pipeline import (
     load_config,
     load_manifest,
     load_utterances,
+    mel_for,
     pretrain_ge2e,
     run_gender_experiment,
     shifted_females,
@@ -60,7 +64,7 @@ from dsrkit.pipeline import (
     synth_corpus,
     write_manifest,
 )
-from dsrkit.sampling import Utterance, coeffs_for
+from dsrkit.sampling import Utterance, build_triplet, coeffs_for
 
 TINY = RunConfig(corpus_speakers=4, utterances_per_speaker=3, duration_s=0.5,
                  ge2e_n_speakers=2, ge2e_m_utterances=2, ge2e_iterations=3,
@@ -685,37 +689,42 @@ def report_values(path):
 
 
 class TestShiftedFemales:
-    def test_each_utterance_uses_its_own_severity(self):
+    def test_each_utterance_uses_its_own_severity(self, tmp_path):
         buf = synth_voice(VoiceSpec(220.0, 6, 10.0, 0.5))
-        utterances = [Utterance("f1", "female", "moderate", buf, "f1-0"),
-                      Utterance("m1", "male", "moderate", buf, "m1-0"),
-                      Utterance("f2", "female", None, buf, "f2-0")]
+        f1, m1, f2 = (str(tmp_path / f"{name}.wav") for name in ("f1-0", "m1-0", "f2-0"))
+        for wav in (f1, m1, f2):
+            write_wav(buf, wav)
+        utterances = [Utterance("f1", "female", "moderate", f1),
+                      Utterance("m1", "male", "moderate", m1),
+                      Utterance("f2", "female", None, f2)]
         config = RunConfig(**{**vars(TINY), "severity": "moderate_severe"})
         cache = {}
         shifted = shifted_females(utterances, config, cache)
-        assert [u.utterance_id for u in shifted] == ["f1-0#pitch0.25", "f2-0#pitch0.5"]
-        assert set(cache) == {u.utterance_id for u in shifted}
+        assert [u.utterance_id for u in shifted] == [f"{f1}#pitch0.25", f"{f2}#pitch0.5"]
+        # The females' own mels come from the same decode as their shifts.
+        assert set(cache) == {f1, f2} | {u.utterance_id for u in shifted}
 
     def test_equals_serial_loop(self, tiny_corpus):
         _, records = tiny_corpus
         # Alternate the severities so the shifts differ in coefficient.
         utterances = [dataclasses.replace(u, severity=("moderate", None)[i % 2])
-                      for i, u in enumerate(load_utterances(records, TINY))]
-        want = []
+                      for i, u in enumerate(load_utterances(records, TINY, False))]
+        want = []  # (utterance_id, frames as int64), each own clip before its shift
         for u in utterances:
             if u.gender == "female":
                 coeff = coeffs_for(u.severity or TINY.severity).pitch_coeff
-                mel = log_mel(pitch_shift(u.buffer, coeff), TINY.n_mels, TINY.win_s,
-                              TINY.hop_s)
-                want.append((f"{u.utterance_id}#pitch{coeff}", mel.frames.view(np.int64)))
+                buf = read_wav(u.utterance_id)
+                for utt_id, clip in ((u.utterance_id, buf),
+                                     (f"{u.utterance_id}#pitch{coeff}",
+                                      pitch_shift(buf, coeff))):
+                    mel = log_mel(clip, TINY.n_mels, TINY.win_s, TINY.hop_s)
+                    want.append((utt_id, mel.frames.view(np.int64)))
         cache = {}
         got = shifted_females(utterances, TINY, cache)
-        assert [u.utterance_id for u in got] == [utt_id for utt_id, _ in want]
+        assert [u.utterance_id for u in got] == [utt_id for utt_id, _ in want[1::2]]
         assert list(cache) == [utt_id for utt_id, _ in want]
-        for u, (_, frames) in zip(got, want):
-            # The shifted audio does not outlive the worker call that featurized it.
-            assert u.buffer is None
-            assert np.array_equal(cache[u.utterance_id].frames.view(np.int64), frames)
+        for utt_id, frames in want:
+            assert np.array_equal(cache[utt_id].frames.view(np.int64), frames)
 
 
 class TestAssess:
@@ -762,7 +771,7 @@ class TestSampleRate:
         write_wav(AudioBuffer(np.zeros(64), rate), wav)
         record = dataclasses.replace(records[0], wav_path=str(wav))
         with pytest.raises(ValidationError, match=f"{rate} Hz"):
-            load_utterances([record], TINY)
+            load_utterances([record], TINY, False)
 
 
 class TestUtteranceIds:
@@ -773,7 +782,7 @@ class TestUtteranceIds:
             wav = tmp_path / folder / "001.wav"
             write_wav(synth_voice(VoiceSpec(f0, 6, 10.0, 0.5)), wav)
             records.append(ManifestRecord(str(wav), folder, "female", None, ""))
-        utterances = load_utterances(records, TINY)
+        utterances = load_utterances(records, TINY, False)
         params = init_params(TINY.encoder_config())
         embeddings = embed_utterances(params, utterances, TINY, {})
         assert not np.array_equal(embeddings[0], embeddings[1])
@@ -781,12 +790,15 @@ class TestUtteranceIds:
 
 @pytest.fixture
 def wav_reads(monkeypatch):
-    """Counts read_wav calls per path, as the pipeline looks the name up."""
+    """Counts read_wav calls per path, as the pipeline looks the name up;
+    the pool workers that decode count under a lock."""
     counts = collections.Counter()
+    lock = threading.Lock()
     read = dsrkit.pipeline.read_wav
 
     def counting(path):
-        counts[str(path)] += 1
+        with lock:
+            counts[str(path)] += 1
         return read(path)
 
     monkeypatch.setattr(dsrkit.pipeline, "read_wav", counting)
@@ -912,9 +924,8 @@ class TestTrainingLoop:
         finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
         [cache] = caches
         assert derived and any(u.gender == "female" for u in derived)
-        # Every augment was featurized by the worker that rendered it; the
-        # training loop added the anchors' and negatives' mels to the same cache.
-        assert all(u.buffer is None for u in derived)
+        # Every augment was featurized by the worker that rendered it, with
+        # its anchor's mel; the training loop added the negatives' mels.
         assert {u.utterance_id for u in derived} < set(cache)
         assert not any(isinstance(v, AudioBuffer) for v in cache.values())
         assert all(isinstance(v, MelFrames) for v in cache.values())
@@ -954,10 +965,14 @@ class TestGroupedEncoding:
 
 
 class TestDecodeOnce:
-    def test_evaluate_reads_each_file_once(self, staged, tmp_path, wav_reads):
+    """No stage keeps decoded audio: a WAV is decoded once to check it and
+    once more in the pool call that makes the features a stage needs of it."""
+
+    def test_evaluate_decodes_each_file_twice(self, staged, tmp_path, wav_reads):
         manifest, records, ckpt = staged
         evaluate(manifest, ckpt, TINY, tmp_path / "ev")
-        assert wav_reads == {r.wav_path: 1 for r in records}
+        # A female's mel and her probe shift's come from one decode.
+        assert wav_reads == {r.wav_path: 2 for r in records}
 
     def test_evaluate_checks_hypotheses_before_decoding(self, staged, tmp_path,
                                                         wav_reads):
@@ -983,16 +998,91 @@ class TestDecodeOnce:
         n_female = sum(r.gender == "female" for r in records)
         assert sum(stacked) == len(records) + n_female
 
-    def test_experiment_reads_train_thrice_and_holdout_once(self, tmp_path, wav_reads):
+    def test_experiment_decodes_train_six_times_and_holdout_twice(self, tmp_path,
+                                                                   wav_reads):
+        # Every GE2E batch draws all 8 training clips, and the one triplet
+        # batch holds them all, so every negative is also an anchor.
         config = RunConfig(**{**vars(TINY), "utterances_per_speaker": 4,
-                              "holdout_per_speaker": 2})
+                              "holdout_per_speaker": 2, "ge2e_n_speakers": 4,
+                              "batch_size": 8})
         run_gender_experiment(config, tmp_path / "x")
         records = load_manifest(tmp_path / "x" / "corpus" / "manifest.tsv")
         train, holdout = split_holdout(records, config.holdout_per_speaker)
-        # Pretraining, fine-tuning and the assessment of both checkpoints.
-        expected = {r.wav_path: 3 for r in train}
-        expected.update((r.wav_path, 1) for r in holdout)
+        # Pretraining, fine-tuning and the assessment of both checkpoints
+        # each check a training clip and make its features from one decode.
+        expected = {r.wav_path: 6 for r in train}
+        expected.update((r.wav_path, 2) for r in holdout)
         assert wav_reads == expected
+
+    def test_load_utterances_keeps_no_audio(self, tiny_corpus):
+        _, records = tiny_corpus
+        load_utterances(records[:1], TINY, True)  # the pool's threads start here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            utterances = load_utterances(records, TINY, True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [u.utterance_id for u in utterances] == [r.wav_path for r in records]
+        # Less than one clip's float64 samples; keeping every clip is 12 of them.
+        assert kept < 8 * round(TINY.duration_s * TINY.sample_rate), kept
+
+    def test_mel_for_derived_clip_missing_from_cache_names_it(self, tiny_corpus):
+        _, records = tiny_corpus
+        utterances = load_utterances(records, TINY, False)
+        positive = build_triplet(utterances[0], utterances, 0, {},
+                                 dsrkit.pipeline._features(TINY)).positive
+        with pytest.raises(DsrkitError, match=re.escape(positive.utterance_id)):
+            mel_for(positive, TINY, {})
+
+
+@pytest.fixture
+def two_bad_wavs(tiny_corpus, tmp_path):
+    """make(first, second, short) writes the tiny corpus as a manifest whose
+    first record is cut to `short` samples and whose second is resampled to
+    8 kHz, or the other way round when first is "rate"; returns the manifest
+    and the path of the bad WAV that comes first."""
+    _, records = tiny_corpus
+
+    def make(first, short):
+        bad = []
+        for record, kind in zip(records, (first, {"short": "rate", "rate": "short"}[first])):
+            buf = read_wav(record.wav_path)
+            wav = tmp_path / f"{kind}.wav"
+            write_wav(AudioBuffer(buf.samples[:short]) if kind == "short"
+                      else AudioBuffer(buf.samples[::2], 8000), wav)
+            bad.append(dataclasses.replace(record, wav_path=str(wav)))
+        return write_manifest(bad + records[2:], tmp_path / "bad.tsv"), bad[0].wav_path
+    return make
+
+
+class TestFirstBadWav:
+    """Every check of a WAV runs in one pass, so the first bad WAV in
+    manifest order is the one named, whichever check it fails."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
+    @pytest.mark.parametrize("first", ["short", "rate"])
+    def test_first_bad_wav_named(self, two_bad_wavs, staged, tmp_path, command, first):
+        # 320 samples are under one 400-sample mel window, which every command needs.
+        manifest, named = two_bad_wavs(first, 320)
+        _, _, ckpt = staged
+        run = {"pretrain": lambda out: pretrain_ge2e(manifest, TINY, out),
+               "finetune": lambda out: finetune_triplet(manifest, ckpt, TINY, out),
+               "evaluate": lambda out: evaluate(manifest, ckpt, TINY, out)}[command]
+        with pytest.raises((EmptyInputError, ValidationError),
+                           match=f"^{re.escape(named)}: "):
+            run(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_finetune_names_clip_too_short_to_augment_before_later_rate(
+            self, two_bad_wavs, staged, tmp_path):
+        # 1600 samples hold a mel window but not augment.MIN_SAMPLES.
+        manifest, named = two_bad_wavs("short", 1600)
+        _, _, ckpt = staged
+        with pytest.raises(EmptyInputError, match=f"^{re.escape(named)}: buffer of 1600"):
+            finetune_triplet(manifest, ckpt, TINY, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCorpusWer:

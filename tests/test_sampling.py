@@ -10,7 +10,7 @@ import pytest
 
 import dsrkit.pipeline
 import dsrkit.sampling
-from dsrkit.audio import AudioBuffer
+from dsrkit.audio import AudioBuffer, read_wav, write_wav
 from dsrkit.augment import pitch_shift, tempo_change
 from dsrkit.errors import ParameterError, SamplingError
 from dsrkit.sampling import (
@@ -24,15 +24,18 @@ from dsrkit.sampling import (
 SR = 16000
 
 
-def tone_utt(speaker_id, gender, severity, f0, utt_id, duration_s=0.5):
+def tone_utt(folder, speaker_id, gender, severity, f0, name, duration_s=0.5):
+    """A tone saved as folder/name.wav; its path is the utterance_id."""
     t = np.arange(int(SR * duration_s)) / SR
-    buf = AudioBuffer(0.5 * np.sin(2 * np.pi * f0 * t), SR)
-    return Utterance(speaker_id, gender, severity, buf, utterance_id=utt_id)
+    wav = folder / f"{name}.wav"
+    write_wav(AudioBuffer(0.5 * np.sin(2 * np.pi * f0 * t), SR), wav)
+    return Utterance(speaker_id, gender, severity, utterance_id=str(wav))
 
 
-def audio(buffer):
-    """Identity featurizer: the cache keeps each augment's audio."""
-    return buffer
+def audio(utterance_id, transforms):
+    """Identity featurizer: the cache keeps each clip's decoded audio."""
+    clip = read_wav(utterance_id)
+    return [clip if t is None else t(clip) for t in transforms]
 
 
 # The pipeline's feature function: log-mel at the default config.
@@ -45,13 +48,13 @@ def fft_peak_hz(buf):
 
 
 @pytest.fixture
-def small_pool():
+def small_pool(tmp_path):
     return [
-        tone_utt("f1", "female", "moderate_severe", 220.0, "f1-0"),
-        tone_utt("f1", "female", "moderate_severe", 230.0, "f1-1"),
-        tone_utt("m1", "male", "moderate_severe", 120.0, "m1-0"),
-        tone_utt("m1", "male", "moderate_severe", 125.0, "m1-1"),
-        tone_utt("m2", "male", "moderate", 140.0, "m2-0"),
+        tone_utt(tmp_path, "f1", "female", "moderate_severe", 220.0, "f1-0"),
+        tone_utt(tmp_path, "f1", "female", "moderate_severe", 230.0, "f1-1"),
+        tone_utt(tmp_path, "m1", "male", "moderate_severe", 120.0, "m1-0"),
+        tone_utt(tmp_path, "m1", "male", "moderate_severe", 125.0, "m1-1"),
+        tone_utt(tmp_path, "m2", "male", "moderate", 140.0, "m2-0"),
     ]
 
 
@@ -81,15 +84,16 @@ class TestBuildTriplet:
         assert trip.negative.speaker_id == "f1"
         assert trip.policy_tag["negative_source"] == "self_pitch_shift"
         assert trip.policy_tag["pitch_coeff"] == 0.5
-        # Derived clips keep the anchor's speaker metadata.
-        # Their audio is in the cache, not on the members.
+        # Derived clips keep the anchor's speaker metadata; their features
+        # and the anchor's own are in the cache.
         for clip in (trip.positive, trip.negative):
             assert (clip.gender, clip.severity) == ("female", "moderate_severe")
-            assert clip.buffer is None
-        assert set(cache) == {"f1-0#tempo0.5", "f1-0#pitch0.5"}
+        a = anchor.utterance_id
+        assert set(cache) == {a, f"{a}#tempo0.5", f"{a}#pitch0.5"}
         # tempo 0.5 doubles the positive; pitch 0.5 scales the negative by 0.75
         positive, negative = cache[trip.positive.utterance_id], cache[trip.negative.utterance_id]
-        assert abs(len(positive) - 2 * len(anchor.buffer)) <= 0.01 * 2 * len(anchor.buffer)
+        assert len(cache[a]) == 8000
+        assert abs(len(positive) - 2 * 8000) <= 0.01 * 2 * 8000
         assert abs(fft_peak_hz(negative) - 0.75 * 220.0) <= 0.03 * 165.0
 
     def test_male_policy_uses_cross_speaker_negative(self, small_pool):
@@ -101,7 +105,7 @@ class TestBuildTriplet:
         assert trip.policy_tag["negative_source"].startswith("cross_speaker:")
         assert trip.negative in utts
         positive = cache[trip.positive.utterance_id]
-        assert abs(len(positive) - 2 * len(anchor.buffer)) <= 0.01 * 2 * len(anchor.buffer)
+        assert abs(len(positive) - 2 * 8000) <= 0.01 * 2 * 8000
 
     def test_male_same_seed_same_negative(self, small_pool):
         utts = small_pool
@@ -132,21 +136,22 @@ class TestBuildTriplet:
             "pitch_coeff": 0.25, "tempo_coeff": 0.7,
             "negative_source": trip.policy_tag["negative_source"],
         }
-        target = len(anchor.buffer) / 0.7
+        target = 8000 / 0.7
         assert abs(len(cache[trip.positive.utterance_id]) - target) <= 0.01 * target
 
     def test_cache_reuses_augmented_audio(self, small_pool):
         utts = small_pool
         cache, featurized = {}, []
 
-        def counted(buffer):
-            featurized.append(buffer)
-            return buffer
+        def counted(utterance_id, transforms):
+            featurized.append(len(transforms))
+            return audio(utterance_id, transforms)
 
         a = build_triplet(utts[0], utts, seed=1, cache=cache, featurize=counted)
         kept = dict(cache)
         b = build_triplet(utts[0], utts, seed=2, cache=cache, featurize=counted)
-        assert len(featurized) == 2
+        # One call decoded the anchor for its own clip and both augments.
+        assert featurized == [3]
         assert (a.positive.utterance_id, a.negative.utterance_id) \
             == (b.positive.utterance_id, b.negative.utterance_id)
         assert cache.keys() == kept.keys()
@@ -167,13 +172,12 @@ class TestTripletInvariants:
 
 class TestProfiles:
     def test_enums_enforced(self):
-        buf = AudioBuffer(np.zeros(4), SR)
         with pytest.raises(ParameterError):
-            Utterance("x", "unknown", None, buf, "u")
+            Utterance("x", "unknown", None, "u")
         with pytest.raises(ParameterError):
-            Utterance("x", "female", "severe", buf, "u")
+            Utterance("x", "female", "severe", "u")
         with pytest.raises(ParameterError):
-            Utterance("", "female", None, buf, "u")
+            Utterance("", "female", None, "u")
 
 
 def first_batch(utts, batch_size, seed):
@@ -258,7 +262,6 @@ class TestPrefetch:
     give."""
 
     def test_cached_buffers_equal_direct_calls(self, small_pool):
-        by_id = {u.utterance_id: u for u in small_pool}
         direct = {"tempo": tempo_change, "pitch": pitch_shift}
         for featurize in (audio, MEL):
             cache = {}
@@ -266,11 +269,16 @@ class TestPrefetch:
                                featurize=featurize)
             batches = [next(gen) for _ in range(4)]
             requests = set().union(*map(requests_of, batches))
-            # Keyed by the derived clip's utterance_id.
-            assert set(cache) == {f"{utt_id}#{kind}{coeff}"
-                                  for utt_id, kind, coeff in requests}
+            anchors = {t.anchor.utterance_id for batch in batches for t in batch}
+            # Keyed by the derived clip's utterance_id, and by the anchor's own.
+            assert set(cache) == anchors | {f"{utt_id}#{kind}{coeff}"
+                                            for utt_id, kind, coeff in requests}
+            for utt_id in anchors:
+                [want] = featurize(utt_id, [None])
+                assert np.array_equal(payload(cache[utt_id]).view(np.int64),
+                                      payload(want).view(np.int64))
             for utt_id, kind, coeff in requests:
-                want = featurize(direct[kind](by_id[utt_id].buffer, coeff))
+                [want] = featurize(utt_id, [lambda clip: direct[kind](clip, coeff)])
                 got = cache[f"{utt_id}#{kind}{coeff}"]
                 assert type(got) is type(want)
                 assert np.array_equal(payload(got).view(np.int64),
@@ -278,7 +286,9 @@ class TestPrefetch:
             for t in (t for batch in batches for t in batch):
                 assert t.positive.utterance_id == (
                     f"{t.anchor.utterance_id}#tempo{t.policy_tag['tempo_coeff']}")
-                assert t.positive.buffer is None
+                # A derived clip is the anchor's metadata under another id.
+                assert dataclasses.replace(t.positive,
+                                           utterance_id=t.anchor.utterance_id) == t.anchor
                 assert t.positive.utterance_id in cache
 
     def test_one_vocoder_call_per_distinct_request(self, small_pool, monkeypatch):
@@ -308,7 +318,7 @@ class TestPrefetch:
             sys.setswitchinterval(interval)
         assert "pitch" in calls and "tempo" in calls
 
-    def test_missing_severity_rejected_in_batch(self, small_pool):
-        pool = small_pool + [tone_utt("x1", "female", None, 200.0, "x1-0")]
+    def test_missing_severity_rejected_in_batch(self, small_pool, tmp_path):
+        pool = small_pool + [tone_utt(tmp_path, "x1", "female", None, 200.0, "x1-0")]
         with pytest.raises(ParameterError, match="has no severity"):
             next(iter_batches(pool, batch_size=len(pool), seed=0, cache={}, featurize=audio))
