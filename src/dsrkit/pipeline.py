@@ -312,26 +312,29 @@ def write_manifest(records, path) -> Path:
 
 def load_utterances(records, config: RunConfig, augmented: bool) -> list:
     """Check each record's WAV and return its utterance, which holds no
-    audio. Each WAV is decoded in one call on the worker pool of `pmap`: its
-    rate must be config.sample_rate, which the mel window, hop and
-    filterbank are defined against, and it must hold at least one mel
-    window, and augment.MIN_SAMPLES if every clip is to be augmented. The
-    first bad WAV in record order is named."""
-    def check(r):
-        buf = read_wav(r.wav_path)
-        if buf.sample_rate != config.sample_rate:
-            raise ValidationError(
-                f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
-                f"config sample_rate {config.sample_rate} Hz"
-            )
-        try:
-            mel_window_length(buf, config.win_s)
-            if augmented:
-                check_input(buf)
-        except EmptyInputError as exc:
-            raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
+    audio. The WAVs are decoded in record order by one call on the worker
+    pool of `pmap`, which stops at the first bad one and names it: its rate
+    must be config.sample_rate, which the mel window, hop and filterbank
+    are defined against, and it must hold at least one mel window, and
+    augment.MIN_SAMPLES if every clip is to be augmented. One call, not one
+    per WAV, because decoding mostly holds the interpreter lock: a second
+    worker would only trade it back and forth."""
+    def check(records):
+        for r in records:
+            buf = read_wav(r.wav_path)
+            if buf.sample_rate != config.sample_rate:
+                raise ValidationError(
+                    f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
+                    f"config sample_rate {config.sample_rate} Hz"
+                )
+            try:
+                mel_window_length(buf, config.win_s)
+                if augmented:
+                    check_input(buf)
+            except EmptyInputError as exc:
+                raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
 
-    pmap(check, records)
+    pmap(check, [records])
     return [Utterance(r.speaker_id, r.gender, r.severity, r.wav_path) for r in records]
 
 
