@@ -1039,10 +1039,10 @@ class TestDecodeOnce:
 
 @pytest.fixture
 def two_bad_wavs(tiny_corpus, tmp_path):
-    """make(first, second, short) writes the tiny corpus as a manifest whose
-    first record is cut to `short` samples and whose second is resampled to
-    8 kHz, or the other way round when first is "rate"; returns the manifest
-    and the path of the bad WAV that comes first."""
+    """make(first, short) writes the tiny corpus as a manifest whose first
+    record is cut to `short` samples and whose second is resampled to 8 kHz,
+    or the other way round when first is "rate"; returns the manifest and
+    the path of the bad WAV that comes first."""
     _, records = tiny_corpus
 
     def make(first, short):
@@ -1058,8 +1058,9 @@ def two_bad_wavs(tiny_corpus, tmp_path):
 
 
 class TestFirstBadWav:
-    """Every check of a WAV runs in one pass, so the first bad WAV in
-    manifest order is the one named, whichever check it fails."""
+    """The WAVs are checked in manifest order, every check of one WAV
+    before the next WAV, so the first bad WAV is the one named, whichever
+    check it fails."""
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
     @pytest.mark.parametrize("first", ["short", "rate"])
