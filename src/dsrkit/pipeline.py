@@ -312,29 +312,23 @@ def write_manifest(records, path) -> Path:
 
 def load_utterances(records, config: RunConfig, augmented: bool) -> list:
     """Check each record's WAV and return its utterance, which holds no
-    audio. The WAVs are decoded in record order by one call on the worker
-    pool of `pmap`, which stops at the first bad one and names it: its rate
-    must be config.sample_rate, which the mel window, hop and filterbank
-    are defined against, and it must hold at least one mel window, and
-    augment.MIN_SAMPLES if every clip is to be augmented. One call, not one
-    per WAV, because decoding mostly holds the interpreter lock: a second
-    worker would only trade it back and forth."""
-    def check(records):
-        for r in records:
-            buf = read_wav(r.wav_path)
-            if buf.sample_rate != config.sample_rate:
-                raise ValidationError(
-                    f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
-                    f"config sample_rate {config.sample_rate} Hz"
-                )
-            try:
-                mel_window_length(buf, config.win_s)
-                if augmented:
-                    check_input(buf)
-            except EmptyInputError as exc:
-                raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
-
-    pmap(check, [records])
+    audio. The WAVs are decoded in record order, and the first bad one is
+    named: its rate must be config.sample_rate, which the mel window, hop
+    and filterbank are defined against, and it must hold at least one mel
+    window, and augment.MIN_SAMPLES if every clip is to be augmented."""
+    for r in records:
+        buf = read_wav(r.wav_path)
+        if buf.sample_rate != config.sample_rate:
+            raise ValidationError(
+                f"{r.wav_path}: sample rate {buf.sample_rate} Hz differs from "
+                f"config sample_rate {config.sample_rate} Hz"
+            )
+        try:
+            mel_window_length(buf, config.win_s)
+            if augmented:
+                check_input(buf)
+        except EmptyInputError as exc:
+            raise EmptyInputError(f"{r.wav_path}: {exc}") from exc
     return [Utterance(r.speaker_id, r.gender, r.severity, r.wav_path) for r in records]
 
 
@@ -412,12 +406,7 @@ def _features(config: RunConfig):
     are looked up here at call time, also on the pool workers that call it
     (`cache_features`), so no decoded audio outlives the call."""
     def featurize(utterance_id, transforms):
-        try:
-            clip = read_wav(utterance_id)
-        except OSError as exc:
-            raise FormatError(f"{utterance_id}: features not cached and no WAV to decode "
-                              f"({exc.strerror or exc}); a derived clip's features are "
-                              f"cached where it is rendered") from exc
+        clip = read_wav(utterance_id)
         try:
             return [log_mel(clip if t is None else t(clip), config.n_mels, config.win_s,
                             config.hop_s) for t in transforms]
@@ -434,13 +423,16 @@ def _cache_mels(utterances, config: RunConfig, cache: dict) -> None:
 
 
 def mel_for(utt: Utterance, config: RunConfig, cache: dict):
-    """Log-mel features of utt, kept in cache under its utterance_id. A
-    corpus clip that cache lacks is decoded and featurized on the worker
-    pool first; a derived clip's were put there by the worker that rendered
-    it, and one that cache lacks raises FormatError naming it."""
-    if utt.utterance_id not in cache:
-        _cache_mels([utt], config, cache)
-    return cache[utt.utterance_id]
+    """Log-mel features of utt, at config's n_mels, window and hop, as kept
+    in cache under its utterance_id: a corpus clip's by `_cache_mels`, a
+    derived clip's by the worker that rendered it. One that cache lacks
+    raises FormatError naming it."""
+    try:
+        return cache[utt.utterance_id]
+    except KeyError:
+        raise FormatError(f"{utt.utterance_id}: features not cached; a corpus clip's "
+                          f"are made before it is encoded, a derived clip's where it "
+                          f"is rendered") from None
 
 
 def _grouped_forward(params, mels, previous=None, keep=True):
