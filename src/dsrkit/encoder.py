@@ -444,9 +444,11 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
-    """Read a checkpoint, bounding every read by the header: the file's
-    size is checked against the size the header's dims give before the
-    tensors are read."""
+    """Read a checkpoint, bounding every read by the header: the file must
+    hold the header's tensor count of record heads before the layout is
+    built, a file longer than the layout is refused unread, and each record's
+    head is checked before its data is read, so a header whose dims the file
+    does not hold names the first tensor that differs."""
     with open(path, "rb") as fh:
         blob = fh.read(_HEADER_BYTES)
         size = os.fstat(fh.fileno()).st_size
@@ -460,12 +462,9 @@ def load_checkpoint(path) -> EncoderParams:
         n_layers, hidden, embed, input_dim, seed = struct.unpack_from("<5i", blob, 8)
         if min(n_layers, hidden, embed, input_dim) < 1:
             raise FormatError(f"{path}: non-positive dimension in checkpoint header")
-        # Bound the header against the file before building anything sized by
-        # it: every tensor needs at least its 12 length bytes and its data.
-        h = hidden
-        floats = (4 * h * (input_dim + h + 1) + (n_layers - 1) * 4 * h * (2 * h + 1)
-                  + embed * (h + 1))
-        least = _HEADER_BYTES + 12 * (3 * n_layers + 2) + 8 * floats
+        # Bound the tensor count against the file before building the layout:
+        # every tensor needs at least its 12 record-head length bytes.
+        least = _HEADER_BYTES + 12 * (3 * n_layers + 2)
         if least > size:
             raise FormatError(f"{path}: header needs at least {least} bytes, file has {size}")
         cfg = EncoderConfig(n_layers, hidden, embed, input_dim, seed)
@@ -474,16 +473,18 @@ def load_checkpoint(path) -> EncoderParams:
                                     for _, shape, head in layout)
         if size > exact:
             raise FormatError(f"{path}: {size - exact} trailing bytes after tensors")
-        blob += fh.read(size - _HEADER_BYTES)
-    tensors = {}
-    offset = _HEADER_BYTES
-    for name, shape, head in layout:
-        start = offset + len(head)
-        if blob[offset:start] != head:
-            raise FormatError(f"{path}: expected the head of tensor {name} ({head!r}), "
-                              f"found {blob[offset:start]!r}")
-        offset = start + 8 * math.prod(shape)
-        if offset > len(blob):
-            raise FormatError(f"{path}: truncated data for {name}")
-        tensors[name] = np.frombuffer(blob[start:offset], dtype="<f8").reshape(shape).copy()
+        tensors = {}
+        offset = _HEADER_BYTES
+        for name, shape, head in layout:
+            found = fh.read(len(head))
+            if found != head:
+                raise FormatError(f"{path}: expected the head of tensor {name} ({head!r}), "
+                                  f"found {found!r}")
+            nbytes = 8 * math.prod(shape)
+            offset += len(head) + nbytes
+            # Read no more than the file holds; one that shrank since is cut short.
+            data = fh.read(nbytes) if offset <= size else b""
+            if len(data) < nbytes:
+                raise FormatError(f"{path}: truncated data for {name}")
+            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return EncoderParams(cfg, tensors)

@@ -31,8 +31,8 @@ class Ge2eScale:
     b: float = -5.0
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ParameterError("Ge2eScale w must be positive")
+        if not 0 < self.w < np.inf:  # also rejects NaN
+            raise ParameterError("Ge2eScale w must be positive and finite")
 
     def stepped(self, grad_w: float, grad_b: float, lr: float) -> "Ge2eScale":
         """SGD update with the positivity projection on w."""

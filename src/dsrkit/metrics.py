@@ -184,8 +184,8 @@ def gender_probe(embeddings, female_centroid, male_centroid):
         raise ShapeError("gender_probe takes an (N, D) stack of embeddings")
     for c in (female_centroid, male_centroid):
         norm = np.linalg.norm(np.asarray(c, dtype=np.float64))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError("gender-probe centroids must be unit-norm")
+        if not abs(norm - 1.0) <= 1e-6:  # also rejects a NaN norm
+            raise ValidationError("gender-probe centroids must be finite and unit-norm")
     cos_f = cosine(embeddings, female_centroid)
     cos_m = cosine(embeddings, male_centroid)
     return np.where(cos_f >= cos_m, "female", "male"), np.abs(cos_f - cos_m)

@@ -11,7 +11,7 @@ config so reruns can be checked byte for byte.
 import json
 import math
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -60,6 +60,7 @@ from .sampling import (
     Utterance,
     cache_features,
     coeffs_for,
+    derive,
     iter_batches,
 )
 
@@ -399,40 +400,30 @@ def augment_file(in_path, out_path, pitch_coeff: float, tempo_coeff: float) -> P
 
 
 def _features(config: RunConfig):
-    """The run's one feature function, featurize(utterance_id, transforms):
-    decode the corpus clip that utterance_id names (its WAV path) and return
-    the log-mel, at the config's n_mels, window and hop, of transform(clip)
-    for each transform (of the clip itself for None). read_wav and log_mel
-    are looked up here at call time, also on the pool workers that call it
+    """The run's one feature function, featurize(source, transforms):
+    decode the corpus clip that source names (its WAV path) and return the
+    log-mel, at the config's n_mels, window and hop, of transform(clip) for
+    each transform (of the clip itself for None). read_wav and log_mel are
+    looked up here at call time, also on the pool workers that call it
     (`cache_features`), so no decoded audio outlives the call."""
-    def featurize(utterance_id, transforms):
-        clip = read_wav(utterance_id)
+    def featurize(source, transforms):
+        clip = read_wav(source)
         try:
             return [log_mel(clip if t is None else t(clip), config.n_mels, config.win_s,
                             config.hop_s) for t in transforms]
         except EmptyInputError as exc:
-            raise EmptyInputError(f"{utterance_id}: {exc}") from exc
+            raise EmptyInputError(f"{source}: {exc}") from exc
     return featurize
 
 
-def _cache_mels(utterances, config: RunConfig, cache: dict) -> None:
-    """Put the log-mel of each utterance that cache lacks into cache, each
-    clip decoded and featurized in one call on the worker pool."""
-    cache_features({u.utterance_id: {u.utterance_id: None} for u in utterances}, cache,
-                   _features(config))
-
-
-def mel_for(utt: Utterance, config: RunConfig, cache: dict):
-    """Log-mel features of utt, at config's n_mels, window and hop, as kept
-    in cache under its utterance_id: a corpus clip's by `_cache_mels`, a
-    derived clip's by the worker that rendered it. One that cache lacks
-    raises FormatError naming it."""
+def mel_for(utt: Utterance, cache: dict):
+    """Log-mel features of utt as kept in cache under its utterance_id by
+    `cache_features`. One that cache lacks raises FormatError naming it."""
     try:
         return cache[utt.utterance_id]
     except KeyError:
-        raise FormatError(f"{utt.utterance_id}: features not cached; a corpus clip's "
-                          f"are made before it is encoded, a derived clip's where it "
-                          f"is rendered") from None
+        raise FormatError(f"{utt.utterance_id}: features not cached; "
+                          f"cache_features makes them before it is encoded") from None
 
 
 def _grouped_forward(params, mels, previous=None, keep=True):
@@ -487,8 +478,8 @@ def _grouped_backward(params, groups, grad_out):
 
 
 def embed_utterances(params, utterances, config: RunConfig, cache: dict):
-    _cache_mels(utterances, config, cache)
-    mels = [mel_for(u, config, cache) for u in utterances]
+    cache_features(utterances, cache, _features(config))
+    mels = [mel_for(u, cache) for u in utterances]
     embeddings, _ = _grouped_forward(params, mels, keep=False)
     return embeddings
 
@@ -497,20 +488,21 @@ def embed_utterances(params, utterances, config: RunConfig, cache: dict):
 # Training
 
 
-def _train(params, batches, objective, lr, clip, config: RunConfig, cache: dict,
+def _train(params, batches, objective, lr, clip, config: RunConfig,
            out_dir, stage: str, checkpoint: str) -> Path:
     """The SGD loop of both training stages. Each batch is a list of
-    utterances, featurized through cache (`mel_for`), whose missing mels are
-    first made on the worker pool; objective(embeddings) returns (loss,
-    grad_embeddings). out_dir is created after the last step: a stage that
-    fails leaves none."""
+    utterances, corpus or derived; the mels the stage's cache lacks are
+    made in one call to `cache_features` per batch, then looked up
+    (`mel_for`). objective(embeddings) returns (loss, grad_embeddings).
+    out_dir is created after the last step: a stage that fails leaves none."""
     lines = ["iteration,loss"]
+    cache, featurize = {}, _features(config)  # one mel per utterance_id
     groups = None  # the last step's consumed traces, overwritten by the next step's
     for iteration, batch in enumerate(batches):
-        _cache_mels(batch, config, cache)
+        cache_features(batch, cache, featurize)
         try:
             embeddings, groups = _grouped_forward(
-                params, [mel_for(u, config, cache) for u in batch], groups)
+                params, [mel_for(u, cache) for u in batch], groups)
             loss, grad_out = objective(embeddings)
             params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
         except NumericError as exc:
@@ -559,7 +551,7 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
         return loss, demb.reshape(embeddings.shape)
 
     return _train(init_params(config.encoder_config()), batches(), objective,
-                  config.ge2e_lr, config.ge2e_clip, config, {}, out_dir,
+                  config.ge2e_lr, config.ge2e_clip, config, out_dir,
                   "pretrain", "pretrained.ckpt")
 
 
@@ -574,12 +566,8 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
             f"checkpoint expects {params.config.input_dim} mel bands, "
             f"config says {config.n_mels}"
         )
-    # One mel per utterance_id: the pool call that decodes an anchor puts in
-    # its mel and its augments', and _train adds the cross-speaker negatives'.
-    cache = {}
-    # islice pulls no batch past the last one; a pull runs the vocoder.
-    triplets = islice(iter_batches(utterances, config.batch_size, config.seed, cache,
-                                   _features(config)),
+    # islice pulls no batch past the last one.
+    triplets = islice(iter_batches(utterances, config.batch_size, config.seed),
                       config.triplet_iterations)
     batches = ([u for t in batch for u in (t.anchor, t.positive, t.negative)]
                for batch in triplets)
@@ -595,7 +583,7 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
         return total, grad_out
 
     return _train(params, batches, objective, config.triplet_lr, config.triplet_clip,
-                  config, cache, out_dir, "finetune", "finetuned.ckpt")
+                  config, out_dir, "finetune", "finetuned.ckpt")
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +615,16 @@ def gender_centroids(utterances, embeddings):
 def shifted_females(utterances, config: RunConfig, cache: dict) -> list:
     """Each female utterance pitch-shifted by its severity coefficient (the
     config's severity where the utterance has none), in input order, as a
-    derived utterance. Each female is decoded once, in one call on the
-    worker pool that puts the log-mels of her clip and of its shift into
-    cache, the shift's under the derived utterance_id."""
-    wanted, shifted = {}, []
+    derived utterance. The log-mels of each female and of her shift go into
+    cache from one decode (`cache_features`)."""
+    wanted, shifted = [], []
     for u in utterances:
         if u.gender == "female":
             coeff = coeffs_for(u.severity if u.severity is not None
                                else config.severity).pitch_coeff
-            shifted.append(replace(u, utterance_id=f"{u.utterance_id}#pitch{coeff}"))
-            wanted.setdefault(u.utterance_id, {u.utterance_id: None})[
-                shifted[-1].utterance_id] = lambda clip, coeff=coeff: pitch_shift(clip, coeff)
+            shifted.append(derive(u, f"pitch{coeff}",
+                                  lambda clip, coeff=coeff: pitch_shift(clip, coeff)))
+            wanted += [u, shifted[-1]]
     cache_features(wanted, cache, _features(config))
     return shifted
 

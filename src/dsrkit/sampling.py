@@ -6,10 +6,12 @@ of the same voice) and seeded cross-speaker picks for male speakers,
 where a self-negative from pitch alone would be too easy.
 
 An utterance holds no audio. A corpus clip's utterance_id is its WAV
-path; an augment's is derived from it (``f01-00.wav#tempo0.5``). A pulled
-anchor is decoded once, in one call on the worker pool that makes its own
-features and those of its augments, and only the features are kept, in the
-caller's cache under their utterance_ids.
+path; a derived clip (`derive`) names the corpus clip it is rendered from
+and the transform that renders it, under an id made from its source's
+(``f01-00.wav#tempo0.5``). Building a triplet renders nothing:
+`cache_features` makes the features of a set of utterances, each source
+clip decoded once in one call on the worker pool, and keeps only the
+features, in the caller's cache under their utterance_ids.
 """
 
 import logging
@@ -30,14 +32,16 @@ SEVERITIES = ("moderate", "moderate_severe")
 @dataclass
 class Utterance:
     """One clip's speaker, gender and severity (None for speakers with no
-    dysarthria setting), and the utterance_id that keys caches: a corpus
-    clip's WAV path, or a derived clip's id (an augment), whose features
-    are cached where it is rendered."""
+    dysarthria setting), and the utterance_id that keys caches. A corpus
+    clip's id is its WAV path and it is its own source; a derived clip's
+    source is the corpus clip that transform renders it from."""
 
     speaker_id: str
     gender: str
     severity: str
     utterance_id: str
+    source: str = None
+    transform: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.speaker_id:
@@ -46,6 +50,8 @@ class Utterance:
             raise ParameterError(f"unknown gender {self.gender!r}")
         if self.severity is not None and self.severity not in SEVERITIES:
             raise ParameterError(f"unknown severity {self.severity!r}")
+        if self.source is None:
+            self.source = self.utterance_id
 
 
 @dataclass
@@ -71,72 +77,48 @@ def coeffs_for(severity: str) -> AugmentCoeffs:
     raise ParameterError(f"no coefficients defined for severity {severity!r}")
 
 
-def _augment_requests(anchor: Utterance):
-    """(coeffs, {kind: (coeff, derived utterance_id)}): the augments the
-    policy asks of anchor, a tempo-stretched positive and, for a female, a
-    pitch-shifted self-negative."""
+def derive(utt: Utterance, tag: str, transform) -> Utterance:
+    """The corpus clip utt as rendered by transform(clip): utt's metadata
+    and source under the id ``utt.utterance_id + "#" + tag``."""
+    return replace(utt, utterance_id=f"{utt.utterance_id}#{tag}", transform=transform)
+
+
+def cache_features(utterances, cache: dict, featurize) -> None:
+    """Put the features of each utterance that cache lacks into cache under
+    its utterance_id. The missing ones are grouped by source clip, in
+    first-seen order, and each group costs one call on the worker pool,
+    featurize(source, transforms), which decodes the clip once and returns
+    the features of transform(clip) for each (of the clip itself for None);
+    so no audio outlives that call."""
+    jobs = {}  # source -> {missing utterance_id: transform}
+    for u in utterances:
+        if u.utterance_id not in cache:
+            jobs.setdefault(u.source, {})[u.utterance_id] = u.transform
+    done = pmap(lambda job: featurize(job[0], list(job[1].values())), jobs.items())
+    for missing, features in zip(jobs.values(), done):
+        cache.update(zip(missing, features))
+
+
+def build_triplet(anchor: Utterance, pool, seed: int) -> Triplet:
+    """Assemble one (anchor, positive, negative) per the gender policy.
+
+    pool supplies cross-speaker negative candidates for male anchors; it
+    may contain same-speaker utterances, which are filtered out here. The
+    augmented members are derived utterances (`derive`) whose transforms
+    look tempo_change and pitch_shift up when they run; nothing is rendered
+    here.
+    """
     if anchor.severity is None:
         raise ParameterError(
             f"speaker {anchor.speaker_id} has no severity; cannot pick coefficients"
         )
     coeffs = coeffs_for(anchor.severity)
-    kinds = [("tempo", coeffs.tempo_coeff)]
-    if anchor.gender == "female":
-        kinds.append(("pitch", coeffs.pitch_coeff))
-    return coeffs, {kind: (coeff, f"{anchor.utterance_id}#{kind}{coeff}")
-                    for kind, coeff in kinds}
-
-
-def _augment(kind: str, coeff: float):
-    """The transform that renders augment kind at coeff; tempo_change and
-    pitch_shift are looked up when it runs."""
-    return lambda clip: (tempo_change if kind == "tempo" else pitch_shift)(clip, coeff)
-
-
-def cache_features(wanted: dict, cache: dict, featurize) -> None:
-    """Fill cache from wanted, {corpus utterance_id: {feature id: transform}}.
-    Each clip with a feature id that cache lacks costs one call on the worker
-    pool, featurize(utterance_id, transforms), which decodes the clip once
-    and returns the features of transform(clip) for each missing id (of the
-    clip itself for transform None); so no audio outlives that call."""
-    jobs = []  # (utterance_id, {missing feature id: transform}), in wanted's order
-    for utt_id, features in wanted.items():
-        missing = {f: t for f, t in features.items() if f not in cache}
-        if missing:
-            jobs.append((utt_id, missing))
-    done = pmap(lambda job: featurize(job[0], list(job[1].values())), jobs)
-    for (_, missing), features in zip(jobs, done):
-        cache.update(zip(missing, features))
-
-
-def _prefetch(anchors, cache: dict, featurize) -> None:
-    """Cache the features of each anchor and of every augment it needs, each
-    anchor decoded once on the worker pool (`cache_features`)."""
-    wanted = {}
-    for anchor in anchors:
-        wanted.setdefault(anchor.utterance_id, {anchor.utterance_id: None}).update(
-            (utt_id, _augment(kind, coeff))
-            for kind, (coeff, utt_id) in _augment_requests(anchor)[1].items())
-    cache_features(wanted, cache, featurize)
-
-
-def build_triplet(anchor: Utterance, pool, seed: int, cache: dict, featurize) -> Triplet:
-    """Assemble one (anchor, positive, negative) per the gender policy.
-
-    pool supplies cross-speaker negative candidates for male anchors; it
-    may contain same-speaker utterances, which are filtered out here.
-    cache holds the features of the anchor and of its augmented members
-    under their utterance_ids (`_prefetch`); a cross-speaker negative's are
-    left to the caller.
-    """
-    coeffs, requests = _augment_requests(anchor)
-    _prefetch([anchor], cache, featurize)  # nothing left to do when iter_batches prefetched
-    augmented = {kind: replace(anchor, utterance_id=utt_id)
-                 for kind, (_, utt_id) in requests.items()}
-    positive = augmented["tempo"]
+    positive = derive(anchor, f"tempo{coeffs.tempo_coeff}",
+                      lambda clip: tempo_change(clip, coeffs.tempo_coeff))
     tag = {"pitch_coeff": coeffs.pitch_coeff, "tempo_coeff": coeffs.tempo_coeff}
-    if "pitch" in augmented:
-        negative = augmented["pitch"]
+    if anchor.gender == "female":
+        negative = derive(anchor, f"pitch{coeffs.pitch_coeff}",
+                          lambda clip: pitch_shift(clip, coeffs.pitch_coeff))
         tag["negative_source"] = "self_pitch_shift"
     else:
         others = [u for u in pool if u.speaker_id != anchor.speaker_id]
@@ -151,13 +133,11 @@ def build_triplet(anchor: Utterance, pool, seed: int, cache: dict, featurize) ->
     return Triplet(anchor, positive, negative, tag)
 
 
-def iter_batches(utterances, batch_size: int, seed: int, cache: dict, featurize):
+def iter_batches(utterances, batch_size: int, seed: int):
     """Endless stream of training batches: a fresh seeded permutation per
     epoch, consumed in full batches (one short batch per epoch if the pool
-    is smaller than batch_size). Pulling a batch first makes the features
-    its anchors and their augments lack in cache on the worker pool of
-    `pmap`, each anchor decoded once by featurize(utterance_id, transforms)
-    (`cache_features`)."""
+    is smaller than batch_size). Pulling a batch builds its triplets and
+    runs no vocoder: the caller makes their features (`cache_features`)."""
     if batch_size < 1:
         raise ParameterError("batch_size must be at least 1")
     if not utterances:
@@ -173,8 +153,6 @@ def iter_batches(utterances, batch_size: int, seed: int, cache: dict, featurize)
         for start in starts:
             anchors = [utterances[int(idx)] for idx in order[start:start + batch_size]]
             child_seeds = rng.integers(0, 2**31, size=len(anchors))
-            # Only a pulled batch runs the vocoder; build_triplet then hits cache.
-            _prefetch(anchors, cache, featurize)
-            yield [build_triplet(anchor, utterances, int(child), cache, featurize)
+            yield [build_triplet(anchor, utterances, int(child))
                    for anchor, child in zip(anchors, child_seeds)]
         epoch += 1

@@ -64,10 +64,10 @@ def test_traced_experiment_matches_untraced(tmp_path, monkeypatch):
     caches, featurized = {}, set()
     mel_for = dsrkit.pipeline.mel_for
 
-    def recording_mel_for(utt, config, cache):
+    def recording_mel_for(utt, cache):
         caches[id(cache)] = cache
         featurized.add((id(cache), utt.utterance_id))
-        return mel_for(utt, config, cache)
+        return mel_for(utt, cache)
 
     monkeypatch.setattr(dsrkit.pipeline, "mel_for", recording_mel_for)
     tracer = locked_tracer(tracing)

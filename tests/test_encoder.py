@@ -795,6 +795,29 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="at least"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("offset, first_mismatch", [
+        (12, "lstm0.w_x"),  # hidden_dim
+        (16, "proj.w"),     # embed_dim
+        (20, "lstm0.w_x"),  # input_dim
+    ])
+    def test_huge_tensor_dim_names_first_mismatch_without_allocating(
+            self, tmp_path, offset, first_mismatch):
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<i", 2**31 - 1)
+        path.write_bytes(bytes(blob))
+        with open(path, "r+b") as fh:
+            fh.truncate(16 * 2**20)  # zeros past the tensors: no whole-file read
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(first_mismatch)):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
     def test_non_positive_header_dim_rejected(self, tmp_path):
         path = tmp_path / "zero.ckpt"
         save_checkpoint(init_params(SMALL), path)

@@ -192,6 +192,11 @@ class TestGe2eLoss:
         stepped = Ge2eScale(w=1e-3, b=0.0).stepped(grad_w=100.0, grad_b=0.0, lr=1.0)
         assert stepped.w == 1e-6
 
+    def test_non_finite_scale_rejected(self):
+        for w in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                Ge2eScale(w=w)
+
 
 def reference_ge2e(emb, scale):
     """The per-(speaker, utterance, centroid) loop the similarity-tensor

@@ -209,6 +209,13 @@ class TestGenderProbe:
         with pytest.raises(ValidationError):
             gender_probe([[1.0, 0.0]], [2.0, 0.0], [0.0, 1.0])
 
+    def test_non_finite_centroid_rejected(self):
+        # A NaN norm fails every comparison, so it must not pass as unit-norm.
+        with pytest.raises(ValidationError):
+            gender_probe([[1.0, 0.0]], [np.nan, 0.0], [0.0, 1.0])
+        with pytest.raises(ValidationError):
+            gender_probe([[1.0, 0.0]], [1.0, 0.0], [np.inf, 0.0])
+
     def test_single_vector_rejected(self):
         with pytest.raises(ShapeError):
             gender_probe([1.0, 0.0], [1.0, 0.0], [0.0, 1.0])

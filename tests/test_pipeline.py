@@ -490,7 +490,7 @@ class TestSynthCorpus:
         b = synth_corpus(TINY, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
         for ra, rb in zip(load_manifest(a), load_manifest(b)):
-            assert open(ra.wav_path, "rb").read() == open(rb.wav_path, "rb").read()
+            assert Path(ra.wav_path).read_bytes() == Path(rb.wav_path).read_bytes()
 
     def test_severity_comes_from_config(self, tiny_corpus):
         _, records = tiny_corpus
@@ -835,7 +835,7 @@ def loop_calls(monkeypatch):
 
 class TestTrainingLoop:
     """One batch and one SGD step per iteration; no batch pulled past the
-    last iteration, since each pull builds triplets and runs the vocoder."""
+    last iteration, since each pull builds triplets."""
 
     @pytest.mark.parametrize("iterations", [0, 3])
     def test_pretrain(self, tiny_corpus, tmp_path, loop_calls, iterations):
@@ -856,6 +856,22 @@ class TestTrainingLoop:
         assert loop_calls == collections.Counter(
             batches=iterations, sgd_step=iterations,
             forward_batch=2 * iterations, backward_batch=2 * iterations)
+
+    def test_finetune_makes_one_pool_call_per_iteration(self, pretrained, tmp_path,
+                                                        monkeypatch):
+        manifest, ckpt = pretrained
+        config = RunConfig(**{**vars(TINY), "triplet_iterations": 4})
+        calls = []
+        pmap = dsrkit.sampling.pmap
+
+        def counting(fn, items):
+            calls.append(len(items))
+            return pmap(fn, items)
+
+        monkeypatch.setattr(dsrkit.sampling, "pmap", counting)
+        finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        # Each batch's missing features, anchors' and negatives' alike, in one call.
+        assert len(calls) == 4, calls
 
     def test_finetune_keeps_one_iteration_of_traces(self, pretrained, tiny_corpus,
                                                     tmp_path):
@@ -909,23 +925,28 @@ class TestTrainingLoop:
                                                      monkeypatch):
         manifest, ckpt = pretrained
         config = RunConfig(**{**vars(TINY), "triplet_iterations": 4})
-        caches, derived = [], []
+        caches, derived = {}, []
         iter_batches = dsrkit.pipeline.iter_batches
+        mel_for = dsrkit.pipeline.mel_for
 
-        def recording_batches(utterances, batch_size, seed, cache, featurize):
-            caches.append(cache)
-            for batch in iter_batches(utterances, batch_size, seed, cache, featurize):
+        def recording_mel_for(utt, cache):
+            caches[id(cache)] = cache
+            return mel_for(utt, cache)
+
+        def recording_batches(utterances, batch_size, seed):
+            for batch in iter_batches(utterances, batch_size, seed):
                 derived.extend(t.positive for t in batch)
                 derived.extend(t.negative for t in batch
                                if t.policy_tag["negative_source"] == "self_pitch_shift")
                 yield batch
 
         monkeypatch.setattr(dsrkit.pipeline, "iter_batches", recording_batches)
+        monkeypatch.setattr(dsrkit.pipeline, "mel_for", recording_mel_for)
         finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
-        [cache] = caches
+        [cache] = caches.values()
         assert derived and any(u.gender == "female" for u in derived)
         # Every augment was featurized by the worker that rendered it, with
-        # its anchor's mel; the training loop added the negatives' mels.
+        # its anchor's mel, in the training loop's one cache.
         assert {u.utterance_id for u in derived} < set(cache)
         assert not any(isinstance(v, AudioBuffer) for v in cache.values())
         assert all(isinstance(v, MelFrames) for v in cache.values())
@@ -1031,10 +1052,9 @@ class TestDecodeOnce:
     def test_mel_for_derived_clip_missing_from_cache_names_it(self, tiny_corpus):
         _, records = tiny_corpus
         utterances = load_utterances(records, TINY, False)
-        positive = build_triplet(utterances[0], utterances, 0, {},
-                                 dsrkit.pipeline._features(TINY)).positive
+        positive = build_triplet(utterances[0], utterances, 0).positive
         with pytest.raises(DsrkitError, match=re.escape(positive.utterance_id)):
-            mel_for(positive, TINY, {})
+            mel_for(positive, {})
 
 
 @pytest.fixture

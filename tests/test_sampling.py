@@ -17,7 +17,9 @@ from dsrkit.sampling import (
     Triplet,
     Utterance,
     build_triplet,
+    cache_features,
     coeffs_for,
+    derive,
     iter_batches,
 )
 
@@ -40,6 +42,13 @@ def audio(utterance_id, transforms):
 
 # The pipeline's feature function: log-mel at the default config.
 MEL = dsrkit.pipeline._features(dsrkit.pipeline.RunConfig())
+
+
+def featurized_triplet(anchor, pool, seed, cache, featurize=audio):
+    """build_triplet, then the features of its three members in cache."""
+    trip = build_triplet(anchor, pool, seed)
+    cache_features([trip.anchor, trip.positive, trip.negative], cache, featurize)
+    return trip
 
 
 def fft_peak_hz(buf):
@@ -79,7 +88,7 @@ class TestBuildTriplet:
         utts = small_pool
         anchor = utts[0]
         cache = {}
-        trip = build_triplet(anchor, utts, seed=1, cache=cache, featurize=audio)
+        trip = featurized_triplet(anchor, utts, seed=1, cache=cache)
         assert trip.positive.speaker_id == "f1"
         assert trip.negative.speaker_id == "f1"
         assert trip.policy_tag["negative_source"] == "self_pitch_shift"
@@ -100,7 +109,7 @@ class TestBuildTriplet:
         utts = small_pool
         anchor = utts[2]
         cache = {}
-        trip = build_triplet(anchor, utts, seed=5, cache=cache, featurize=audio)
+        trip = featurized_triplet(anchor, utts, seed=5, cache=cache)
         assert trip.negative.speaker_id != "m1"
         assert trip.policy_tag["negative_source"].startswith("cross_speaker:")
         assert trip.negative in utts
@@ -110,8 +119,8 @@ class TestBuildTriplet:
     def test_male_same_seed_same_negative(self, small_pool):
         utts = small_pool
         anchor = utts[2]
-        first = build_triplet(anchor, utts, seed=9, cache={}, featurize=audio)
-        second = build_triplet(anchor, utts, seed=9, cache={}, featurize=audio)
+        first = build_triplet(anchor, utts, seed=9)
+        second = build_triplet(anchor, utts, seed=9)
         assert first.negative.utterance_id == second.negative.utterance_id
 
     def test_male_empty_pool_rejected(self, small_pool):
@@ -119,19 +128,19 @@ class TestBuildTriplet:
         anchor = utts[2]
         same_speaker_only = [u for u in utts if u.speaker_id == "m1"]
         with pytest.raises(SamplingError):
-            build_triplet(anchor, same_speaker_only, seed=0, cache={}, featurize=audio)
+            build_triplet(anchor, same_speaker_only, seed=0)
 
     def test_missing_severity_rejected(self, small_pool):
         utts = small_pool
         anchor = dataclasses.replace(utts[0], severity=None)
         with pytest.raises(ParameterError):
-            build_triplet(anchor, utts, seed=0, cache={}, featurize=audio)
+            build_triplet(anchor, utts, seed=0)
 
     def test_moderate_severity_coeffs_applied(self, small_pool):
         utts = small_pool
         anchor = utts[4]
         cache = {}
-        trip = build_triplet(anchor, utts, seed=2, cache=cache, featurize=audio)
+        trip = featurized_triplet(anchor, utts, seed=2, cache=cache)
         assert trip.policy_tag == {
             "pitch_coeff": 0.25, "tempo_coeff": 0.7,
             "negative_source": trip.policy_tag["negative_source"],
@@ -147,9 +156,9 @@ class TestBuildTriplet:
             featurized.append(len(transforms))
             return audio(utterance_id, transforms)
 
-        a = build_triplet(utts[0], utts, seed=1, cache=cache, featurize=counted)
+        a = featurized_triplet(utts[0], utts, seed=1, cache=cache, featurize=counted)
         kept = dict(cache)
-        b = build_triplet(utts[0], utts, seed=2, cache=cache, featurize=counted)
+        b = featurized_triplet(utts[0], utts, seed=2, cache=cache, featurize=counted)
         # One call decoded the anchor for its own clip and both augments.
         assert featurized == [3]
         assert (a.positive.utterance_id, a.negative.utterance_id) \
@@ -181,8 +190,7 @@ class TestProfiles:
 
 
 def first_batch(utts, batch_size, seed):
-    return next(iter_batches(utts, batch_size=batch_size, seed=seed, cache={},
-                             featurize=audio))
+    return next(iter_batches(utts, batch_size=batch_size, seed=seed))
 
 
 class TestMakeBatch:
@@ -227,7 +235,7 @@ class TestIterBatches:
     def test_stream_is_deterministic(self, small_pool):
         utts = small_pool
         def take(n):
-            gen = iter_batches(utts, batch_size=2, seed=5, cache={}, featurize=audio)
+            gen = iter_batches(utts, batch_size=2, seed=5)
             out = []
             for _ in range(n):
                 out.append([(t.anchor.utterance_id, t.negative.utterance_id)
@@ -237,7 +245,7 @@ class TestIterBatches:
 
     def test_epoch_covers_pool_without_replacement(self, small_pool):
         utts = small_pool
-        gen = iter_batches(utts, batch_size=1, seed=3, cache={}, featurize=audio)
+        gen = iter_batches(utts, batch_size=1, seed=3)
         seen = [next(gen)[0].anchor.utterance_id for _ in range(len(utts))]
         assert sorted(seen) == sorted(u.utterance_id for u in utts)
 
@@ -256,18 +264,23 @@ def payload(features):
     return features.samples if isinstance(features, AudioBuffer) else features.frames
 
 
+def members(batch):
+    return [u for t in batch for u in (t.anchor, t.positive, t.negative)]
+
+
 class TestPrefetch:
-    """A pulled batch renders and featurizes its augments on the worker
-    pool; the cache and the triplets must be exactly what the serial calls
-    give."""
+    """A pulled batch's augments are rendered and featurized on the worker
+    pool by `cache_features`; the cache and the triplets must be exactly
+    what the serial calls give."""
 
     def test_cached_buffers_equal_direct_calls(self, small_pool):
         direct = {"tempo": tempo_change, "pitch": pitch_shift}
         for featurize in (audio, MEL):
             cache = {}
-            gen = iter_batches(small_pool, batch_size=3, seed=2, cache=cache,
-                               featurize=featurize)
+            gen = iter_batches(small_pool, batch_size=3, seed=2)
             batches = [next(gen) for _ in range(4)]
+            for batch in batches:
+                cache_features(members(batch), cache, featurize)
             requests = set().union(*map(requests_of, batches))
             anchors = {t.anchor.utterance_id for batch in batches for t in batch}
             # Keyed by the derived clip's utterance_id, and by the anchor's own.
@@ -308,10 +321,12 @@ class TestPrefetch:
         sys.setswitchinterval(1e-6)
         try:
             # 5 utterances, 2 per batch: 5 pulls span 3 epochs, so anchors repeat.
-            gen = iter_batches(small_pool, batch_size=2, seed=9, cache={}, featurize=audio)
-            seen = set()
+            gen = iter_batches(small_pool, batch_size=2, seed=9)
+            cache, seen = {}, set()
             for _ in range(5):
-                seen |= requests_of(next(gen))
+                batch = next(gen)
+                cache_features(members(batch), cache, audio)
+                seen |= requests_of(batch)
                 # No look-ahead into the next batch, no request run twice.
                 assert len(calls) == len(seen)
         finally:
@@ -321,4 +336,75 @@ class TestPrefetch:
     def test_missing_severity_rejected_in_batch(self, small_pool, tmp_path):
         pool = small_pool + [tone_utt(tmp_path, "x1", "female", None, 200.0, "x1-0")]
         with pytest.raises(ParameterError, match="has no severity"):
-            next(iter_batches(pool, batch_size=len(pool), seed=0, cache={}, featurize=audio))
+            next(iter_batches(pool, batch_size=len(pool), seed=0))
+
+    def test_pulling_a_batch_runs_no_vocoder(self, small_pool, monkeypatch):
+        def refuse(buffer, coeff):
+            raise AssertionError("a batch pull ran the vocoder")
+
+        monkeypatch.setattr(dsrkit.sampling, "tempo_change", refuse)
+        monkeypatch.setattr(dsrkit.sampling, "pitch_shift", refuse)
+        gen = iter_batches(small_pool, batch_size=2, seed=9)
+        batches = [next(gen) for _ in range(5)]
+        assert any(t.policy_tag["negative_source"] == "self_pitch_shift"
+                   for batch in batches for t in batch)
+
+
+class TestDerive:
+    def test_id_metadata_and_source(self, small_pool):
+        anchor = small_pool[0]
+        shift = derive(anchor, "pitch0.5", lambda clip: pitch_shift(clip, 0.5))
+        assert shift.utterance_id == f"{anchor.utterance_id}#pitch0.5"
+        assert (shift.speaker_id, shift.gender, shift.severity) \
+            == (anchor.speaker_id, anchor.gender, anchor.severity)
+        # A corpus clip is its own source and has no transform.
+        assert anchor.source == anchor.utterance_id and anchor.transform is None
+        assert shift.source == anchor.utterance_id
+
+    def test_equality_ignores_transform(self, small_pool):
+        anchor = small_pool[0]
+        a = derive(anchor, "tempo0.5", lambda clip: tempo_change(clip, 0.5))
+        b = derive(anchor, "tempo0.5", lambda clip: tempo_change(clip, 0.5))
+        assert a.transform is not b.transform
+        assert a == b
+        assert a != derive(anchor, "tempo0.7", a.transform)
+
+
+class TestCacheFeatures:
+    def test_one_featurize_call_per_source_in_first_seen_order(self, small_pool):
+        f1, m1 = small_pool[0], small_pool[2]
+        up = derive(f1, "up", lambda clip: clip)
+        down = derive(f1, "down", lambda clip: clip)
+        slow = derive(m1, "slow", lambda clip: clip)
+        calls = []
+
+        def recording(source, transforms):
+            calls.append((source, transforms))
+            return [f"{source}:{i}" for i in range(len(transforms))]
+
+        cache = {}
+        cache_features([up, m1, f1, slow, down, up], cache, recording)
+        assert calls == [(f1.utterance_id, [up.transform, None, down.transform]),
+                         (m1.utterance_id, [None, slow.transform])]
+        assert cache == {up.utterance_id: f"{f1.utterance_id}:0",
+                         f1.utterance_id: f"{f1.utterance_id}:1",
+                         down.utterance_id: f"{f1.utterance_id}:2",
+                         m1.utterance_id: f"{m1.utterance_id}:0",
+                         slow.utterance_id: f"{m1.utterance_id}:1"}
+
+    def test_only_missing_features_are_made(self, small_pool):
+        f1, m1 = small_pool[0], small_pool[2]
+        up = derive(f1, "up", lambda clip: clip)
+        calls = []
+
+        def recording(source, transforms):
+            calls.append((source, transforms))
+            return [None] * len(transforms)
+
+        cache = {f1.utterance_id: "kept"}
+        cache_features([f1, up, m1], cache, recording)
+        assert calls == [(f1.utterance_id, [up.transform]), (m1.utterance_id, [None])]
+        assert cache[f1.utterance_id] == "kept"
+        calls.clear()
+        cache_features([f1, up, m1], cache, recording)
+        assert calls == []
