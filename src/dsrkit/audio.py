@@ -7,6 +7,7 @@ sample array plus a sample rate. Files are restricted to RIFF/WAVE PCM,
 """
 
 import functools
+import os
 import wave
 from dataclasses import dataclass
 
@@ -73,14 +74,20 @@ class MelFrames:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a PCM 16-bit mono WAV file; samples are scaled by 1/32768."""
+    """Read a PCM 16-bit mono WAV file; samples are scaled by 1/32768.
+    Data the header declares is read only if the file is that large."""
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open(path, "rb") as fh, wave.open(fh) as wf:
             n_channels = wf.getnchannels()
             sample_width = wf.getsampwidth()
             comp_type = wf.getcomptype()
             sample_rate = wf.getframerate()
             n_frames = wf.getnframes()
+            declared = n_frames * n_channels * sample_width
+            size = os.fstat(fh.fileno()).st_size
+            if declared > size:
+                raise FormatError(f"{path}: header declares {declared} data bytes, "
+                                  f"the file holds {size}")
             raw = wf.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"{path}: not a valid RIFF/WAVE file ({exc})") from exc

@@ -178,7 +178,6 @@ class BatchTrace:
     c_prevs: list              # per layer: (T, H, B) cell state entering step t
     c_lasts: list              # per layer: (H, B) cell state leaving step T - 1
     top: np.ndarray            # (B, H) top layer's last h, a view of an (H, B) block
-    pre_norm: np.ndarray       # (B, E)
     norms: np.ndarray          # (B,)
     embeddings: np.ndarray     # (B, E), rows unit-norm
     consumed: bool = field(default=False, init=False)  # set by backward_batch
@@ -274,8 +273,7 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
     if np.any(norms < 1e-300):
         raise NumericError("pre-normalization embedding collapsed to zero")
     embeddings = pre_norm / norms[:, None]
-    return BatchTrace(stack, gates_all, c_prevs_all, c_lasts, top, pre_norm, norms,
-                      embeddings)
+    return BatchTrace(stack, gates_all, c_prevs_all, c_lasts, top, norms, embeddings)
 
 
 def _compact(a, live):

@@ -154,46 +154,36 @@ def ctc_loss(logprobs, target, validate: bool = True):
             f"{n_steps} steps cannot align to {len(labels)} labels "
             f"with {repeats} repeat separators"
         )
-    ext = [blank]
-    for s in labels:
-        ext += [s, blank]
-    n_states = len(ext)
-    neg = -np.inf
-    alpha = np.full((n_steps, n_states), neg)
-    alpha[0, 0] = lp[0, ext[0]]
-    if n_states > 1:
-        alpha[0, 1] = lp[0, ext[1]]
+    n_states = 2 * len(labels) + 1
+    ext = np.full(n_states, blank)
+    ext[1::2] = labels
+    # skip[s]: state s may be entered from s - 2, jumping the blank between
+    # two different labels.
+    skip = np.zeros(n_states, dtype=bool)
+    skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    alpha = np.full((n_steps, n_states), -np.inf)
+    alpha[0, :2] = lp[0, ext[:2]]
     for t in range(1, n_steps):
-        for s in range(n_states):
-            acc = alpha[t - 1, s]
-            if s >= 1:
-                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
-            if s >= 2 and ext[s] != blank and ext[s] != ext[s - 2]:
-                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
-            alpha[t, s] = acc + lp[t, ext[s]]
-    log_z = alpha[n_steps - 1, n_states - 1]
-    if n_states > 1:
-        log_z = np.logaddexp(log_z, alpha[n_steps - 1, n_states - 2])
+        acc = alpha[t - 1].copy()
+        acc[1:] = np.logaddexp(acc[1:], alpha[t - 1, :-1])
+        np.logaddexp(acc[2:], alpha[t - 1, :-2], out=acc[2:], where=skip[2:])
+        alpha[t] = acc + lp[t, ext]
+    log_z = np.logaddexp.reduce(alpha[-1, -2:])
     if not np.isfinite(log_z):
         raise NumericError("every alignment has zero probability")
     # beta excludes the emission at t, so alpha + beta is the log mass of
     # complete paths occupying state s at time t.
-    beta = np.full((n_steps, n_states), neg)
-    beta[n_steps - 1, n_states - 1] = 0.0
-    if n_states > 1:
-        beta[n_steps - 1, n_states - 2] = 0.0
+    beta = np.full((n_steps, n_states), -np.inf)
+    beta[-1, -2:] = 0.0
     for t in range(n_steps - 2, -1, -1):
-        for s in range(n_states):
-            acc = beta[t + 1, s] + lp[t + 1, ext[s]]
-            if s + 1 < n_states:
-                acc = np.logaddexp(acc, beta[t + 1, s + 1] + lp[t + 1, ext[s + 1]])
-            if s + 2 < n_states and ext[s + 2] != blank and ext[s + 2] != ext[s]:
-                acc = np.logaddexp(acc, beta[t + 1, s + 2] + lp[t + 1, ext[s + 2]])
-            beta[t, s] = acc
+        emitted = beta[t + 1] + lp[t + 1, ext]
+        acc = emitted.copy()
+        acc[:-1] = np.logaddexp(acc[:-1], emitted[1:])
+        np.logaddexp(acc[:-2], emitted[2:], out=acc[:-2], where=skip[2:])
+        beta[t] = acc
     occupancy = np.exp(alpha + beta - log_z)
     grad = np.zeros_like(lp)
-    for s in range(n_states):
-        grad[:, ext[s]] -= occupancy[:, s]
+    np.subtract.at(grad.T, ext, occupancy.T)
     return float(-log_z), grad
 
 

@@ -2,8 +2,9 @@
 
 Scores and reports are deterministic: EER uses a discrete threshold sweep
 over observed scores (no ROC interpolation), WER uses unit-cost word edit
-distance, and MOS confidence intervals come from an embedded two-sided
-95% t-quantile table (df 1..200, normal tail value beyond that).
+distance, and MOS confidence intervals use the two-sided 95% Student-t
+quantile, solved from the t distribution's closed-form CDF for integer
+degrees of freedom.
 """
 
 import csv
@@ -21,60 +22,34 @@ from .errors import (
     ValidationError,
 )
 
-# Two-sided 95% Student-t quantiles, t(0.975, df) for df = 1..200.
-T_TABLE_95 = (
-    12.706205, 4.302653, 3.182446, 2.776445, 2.570582,
-    2.446912, 2.364624, 2.306004, 2.262157, 2.228139,
-    2.200985, 2.178813, 2.160369, 2.144787, 2.131450,
-    2.119905, 2.109816, 2.100922, 2.093024, 2.085963,
-    2.079614, 2.073873, 2.068658, 2.063899, 2.059539,
-    2.055529, 2.051831, 2.048407, 2.045230, 2.042272,
-    2.039513, 2.036933, 2.034515, 2.032245, 2.030108,
-    2.028094, 2.026192, 2.024394, 2.022691, 2.021075,
-    2.019541, 2.018082, 2.016692, 2.015368, 2.014103,
-    2.012896, 2.011741, 2.010635, 2.009575, 2.008559,
-    2.007584, 2.006647, 2.005746, 2.004879, 2.004045,
-    2.003241, 2.002465, 2.001717, 2.000995, 2.000298,
-    1.999624, 1.998972, 1.998341, 1.997730, 1.997138,
-    1.996564, 1.996008, 1.995469, 1.994945, 1.994437,
-    1.993943, 1.993464, 1.992997, 1.992543, 1.992102,
-    1.991673, 1.991254, 1.990847, 1.990450, 1.990063,
-    1.989686, 1.989319, 1.988960, 1.988610, 1.988268,
-    1.987934, 1.987608, 1.987290, 1.986979, 1.986675,
-    1.986377, 1.986086, 1.985802, 1.985523, 1.985251,
-    1.984984, 1.984723, 1.984467, 1.984217, 1.983972,
-    1.983731, 1.983495, 1.983264, 1.983038, 1.982815,
-    1.982597, 1.982383, 1.982173, 1.981967, 1.981765,
-    1.981567, 1.981372, 1.981180, 1.980992, 1.980808,
-    1.980626, 1.980448, 1.980272, 1.980100, 1.979930,
-    1.979764, 1.979600, 1.979439, 1.979280, 1.979124,
-    1.978971, 1.978820, 1.978671, 1.978524, 1.978380,
-    1.978239, 1.978099, 1.977961, 1.977826, 1.977692,
-    1.977561, 1.977431, 1.977304, 1.977178, 1.977054,
-    1.976931, 1.976811, 1.976692, 1.976575, 1.976460,
-    1.976346, 1.976233, 1.976122, 1.976013, 1.975905,
-    1.975799, 1.975694, 1.975590, 1.975488, 1.975387,
-    1.975288, 1.975189, 1.975092, 1.974996, 1.974902,
-    1.974808, 1.974716, 1.974625, 1.974535, 1.974446,
-    1.974358, 1.974271, 1.974185, 1.974100, 1.974017,
-    1.973934, 1.973852, 1.973771, 1.973691, 1.973612,
-    1.973534, 1.973457, 1.973381, 1.973305, 1.973231,
-    1.973157, 1.973084, 1.973012, 1.972941, 1.972870,
-    1.972800, 1.972731, 1.972663, 1.972595, 1.972528,
-    1.972462, 1.972396, 1.972332, 1.972268, 1.972204,
-    1.972141, 1.972079, 1.972017, 1.971957, 1.971896,
-)
 
-NORMAL_QUANTILE_95 = 1.96
+def _t_coverage(theta: float, df: int) -> float:
+    """P(|T| <= sqrt(df) tan(theta)) for Student's t with integer df, in
+    closed form (Abramowitz & Stegun 26.7.3 for odd df, 26.7.4 for even)."""
+    sin, cos = np.sin(theta), np.cos(theta)
+    # 1 + k1/(k1+1) cos^2 + k1 k2/((k1+1)(k2+1)) cos^4 + ..., k = 1, 3, ... or 2, 4, ...
+    k = np.arange(1 + df % 2, df - 1, 2)
+    series = 1.0 + np.sum(np.cumprod(k / (k + 1) * cos**2))
+    if df % 2 == 0:
+        return sin * series
+    if df == 1:
+        return 2.0 / np.pi * theta
+    return 2.0 / np.pi * (theta + sin * cos * series)
 
 
 def t_quantile_95(df: int) -> float:
-    """Two-sided 95% t critical value; normal approximation past df 200."""
+    """Two-sided 95% t critical value t(0.975, df): the coverage is solved
+    for theta = atan(t / sqrt(df)) by bisection on (0, pi/2) down to
+    adjacent floats."""
     if df < 1:
         raise ValidationError("degrees of freedom must be at least 1")
-    if df <= len(T_TABLE_95):
-        return T_TABLE_95[df - 1]
-    return NORMAL_QUANTILE_95
+    lo, hi = 0.0, np.pi / 2
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _t_coverage(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(df) * np.tan(hi))
 
 
 def cosine(a, b):
@@ -130,22 +105,41 @@ def tokenize(text) -> list:
     return out
 
 
-def wer(reference, hypothesis) -> float:
-    """(substitutions + deletions + insertions) / |reference| at word level."""
+def word_edits(reference, hypothesis) -> tuple:
+    """(substitutions + deletions + insertions, |reference|) at word level.
+    An empty reference makes every hypothesis word an insertion."""
     ref = tokenize(reference)
     hyp = tokenize(hypothesis)
-    if not ref:
-        raise UndefinedMetricError("WER is undefined for an empty reference")
-    prev = np.arange(len(hyp) + 1)
+    prev = list(range(len(hyp) + 1))  # edits of ref[:i] into each hyp[:j]
     for i, rw in enumerate(ref, start=1):
-        cur = np.empty_like(prev)
-        cur[0] = i
+        cur = [i]
         for j, hw in enumerate(hyp, start=1):
-            cur[j] = min(prev[j] + 1,          # deletion
-                         cur[j - 1] + 1,       # insertion
-                         prev[j - 1] + (rw != hw))
+            # deletion, insertion, substitution or match
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (rw != hw)))
         prev = cur
-    return float(prev[-1]) / len(ref)
+    return prev[-1], len(ref)
+
+
+def wer(reference, hypothesis) -> float:
+    """(substitutions + deletions + insertions) / |reference| at word level."""
+    edits, ref_words = word_edits(reference, hypothesis)
+    if not ref_words:
+        raise UndefinedMetricError("WER is undefined for an empty reference")
+    return edits / ref_words
+
+
+def corpus_wer(references, hypotheses) -> float:
+    """Total edits over total reference words across the corpus."""
+    if len(references) != len(hypotheses):
+        raise ShapeError(f"{len(hypotheses)} hypothesis lines for {len(references)} references")
+    edits = ref_words = 0
+    for ref, hyp in zip(references, hypotheses):
+        line_edits, line_words = word_edits(ref, hyp)
+        edits += line_edits
+        ref_words += line_words
+    if ref_words == 0:
+        raise UndefinedMetricError("no reference words in corpus")
+    return edits / ref_words
 
 
 @dataclass(frozen=True)

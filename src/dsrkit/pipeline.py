@@ -39,17 +39,15 @@ from .errors import (
     NumericError,
     ParameterError,
     ShapeError,
-    UndefinedMetricError,
     ValidationError,
 )
 from .losses import Ge2eScale, ge2e_loss, triplet_loss
 from .metrics import (
     ReportRow,
+    corpus_wer,
     cosine,
     eer,
     gender_probe,
-    tokenize,
-    wer,
     write_csv_report,
     write_text_report,
 )
@@ -484,6 +482,18 @@ def embed_utterances(params, utterances, config: RunConfig, cache: dict):
     return embeddings
 
 
+def _load_matching_checkpoint(path, config: RunConfig):
+    """Load a checkpoint whose encoder shape is config's; its seed may differ."""
+    params = load_checkpoint(path)
+    want = config.encoder_config()
+    wrong = [f"{name} {getattr(params.config, name)} (config {getattr(want, name)})"
+             for name in ("n_layers", "hidden_dim", "embed_dim", "input_dim")
+             if getattr(params.config, name) != getattr(want, name)]
+    if wrong:
+        raise ShapeError(f"{path}: checkpoint has " + ", ".join(wrong))
+    return params
+
+
 # ---------------------------------------------------------------------------
 # Training
 
@@ -558,14 +568,10 @@ def pretrain_ge2e(manifest_path, config: RunConfig, out_dir) -> Path:
 def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
                      out_dir) -> Path:
     """Triplet fine-tuning, backpropagating through all three branches."""
+    records = load_manifest(manifest_path)
+    params = _load_matching_checkpoint(base_checkpoint, config)
     # Any clip can be drawn as an anchor, and every anchor is stretched.
-    utterances = load_utterances(load_manifest(manifest_path), config, True)
-    params = load_checkpoint(base_checkpoint)
-    if params.config.input_dim != config.n_mels:
-        raise ShapeError(
-            f"checkpoint expects {params.config.input_dim} mel bands, "
-            f"config says {config.n_mels}"
-        )
+    utterances = load_utterances(records, config, True)
     # islice pulls no batch past the last one.
     triplets = islice(iter_batches(utterances, config.batch_size, config.seed),
                       config.triplet_iterations)
@@ -652,23 +658,6 @@ def assess(params, enrol_utts, test_utts, shifted, config: RunConfig, cache: dic
                                                     cache)}
 
 
-def corpus_wer(references, hypotheses) -> float:
-    """Total edits over total reference words across the corpus."""
-    if len(references) != len(hypotheses):
-        raise ShapeError(
-            f"{len(hypotheses)} hypothesis lines for {len(references)} references"
-        )
-    total_edits = 0.0
-    total_words = 0
-    for ref, hyp in zip(references, hypotheses):
-        ref_words = tokenize(ref)
-        total_edits += wer(ref, hyp) * len(ref_words)
-        total_words += len(ref_words)
-    if total_words == 0:
-        raise UndefinedMetricError("no reference words in corpus")
-    return total_edits / total_words
-
-
 def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
              hypotheses_path=None) -> Path:
     """Verification EER, gender-probe accuracy, and optional corpus WER."""
@@ -682,7 +671,7 @@ def evaluate(manifest_path, checkpoint, config: RunConfig, out_dir,
             raise ValidationError(
                 f"{hypotheses_path}: hypotheses are not UTF-8 ({exc})") from exc
         wer_value = corpus_wer([r.transcript for r in records], hyp_lines)
-    params = load_checkpoint(checkpoint)
+    params = _load_matching_checkpoint(checkpoint, config)
     utterances = load_utterances(records, config, False)
     cache = {}
     scores = assess(params, utterances, utterances,

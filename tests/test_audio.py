@@ -1,6 +1,7 @@
 """Audio core: WAV scaling, synthesis frequency accuracy, log-mel geometry."""
 
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -100,6 +101,24 @@ class TestWavErrors:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(FormatError, match="header declares 800"):
             read_wav(path)
+
+    def test_forged_data_size_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "forged.wav"
+        write_wav(AudioBuffer(np.zeros(100)), path)
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == 244
+        claim = 400_000_000
+        blob[4:8] = struct.pack("<I", claim + 36)  # RIFF size
+        blob[40:44] = struct.pack("<I", claim)  # data chunk size
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"header declares {claim}"):
+                read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_chunk_size_past_riff_end_rejected(self, tmp_path):
         path = tmp_path / "fmt.wav"

@@ -286,6 +286,51 @@ def ctc_brute_force(probs, target, blank=0):
     return total
 
 
+def reference_ctc(lp, labels, blank=0):
+    """Per-state forward-backward loops, as ctc_loss ran before its one
+    array step per frame. None where every alignment has zero probability;
+    the target must fit in the steps."""
+    n_steps = lp.shape[0]
+    ext = [blank]
+    for s in labels:
+        ext += [s, blank]
+    n_states = len(ext)
+    alpha = np.full((n_steps, n_states), -np.inf)
+    alpha[0, 0] = lp[0, ext[0]]
+    if n_states > 1:
+        alpha[0, 1] = lp[0, ext[1]]
+    for t in range(1, n_steps):
+        for s in range(n_states):
+            acc = alpha[t - 1, s]
+            if s >= 1:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
+            if s >= 2 and ext[s] != blank and ext[s] != ext[s - 2]:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
+            alpha[t, s] = acc + lp[t, ext[s]]
+    log_z = alpha[n_steps - 1, n_states - 1]
+    if n_states > 1:
+        log_z = np.logaddexp(log_z, alpha[n_steps - 1, n_states - 2])
+    if not np.isfinite(log_z):
+        return None
+    beta = np.full((n_steps, n_states), -np.inf)
+    beta[n_steps - 1, n_states - 1] = 0.0
+    if n_states > 1:
+        beta[n_steps - 1, n_states - 2] = 0.0
+    for t in range(n_steps - 2, -1, -1):
+        for s in range(n_states):
+            acc = beta[t + 1, s] + lp[t + 1, ext[s]]
+            if s + 1 < n_states:
+                acc = np.logaddexp(acc, beta[t + 1, s + 1] + lp[t + 1, ext[s + 1]])
+            if s + 2 < n_states and ext[s + 2] != blank and ext[s + 2] != ext[s]:
+                acc = np.logaddexp(acc, beta[t + 1, s + 2] + lp[t + 1, ext[s + 2]])
+            beta[t, s] = acc
+    occupancy = np.exp(alpha + beta - log_z)
+    grad = np.zeros_like(lp)
+    for s in range(n_states):
+        grad[:, ext[s]] -= occupancy[:, s]
+    return float(-log_z), grad
+
+
 class TestCtcLoss:
     def test_single_step_hand_value(self):
         lp = np.log(np.array([[0.5, 0.5]]))
@@ -314,6 +359,31 @@ class TestCtcLoss:
             loss, _ = ctc_loss(lp, target)
             expected = ctc_brute_force(np.exp(lp), target)
             assert abs(np.exp(-loss) - expected) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 12),
+           n_symbols=st.integers(2, 5), tgt_len=st.integers(0, 5),
+           impossible=st.floats(0.0, 0.5))
+    def test_matches_per_state_loops_bit_for_bit(self, seed, n_steps, n_symbols, tgt_len,
+                                                 impossible):
+        """Random posteriors, some entries log 0, against reference_ctc."""
+        rng = np.random.default_rng(seed)
+        target = [int(s) for s in rng.integers(1, n_symbols, size=tgt_len)]
+        lp = normalized_logprobs(rng, n_steps, n_symbols)
+        lp[rng.random(lp.shape) < impossible] = -np.inf
+        repeats = sum(1 for u in range(1, tgt_len) if target[u] == target[u - 1])
+        if n_steps < tgt_len + repeats:
+            with pytest.raises(InfeasibleAlignmentError):
+                ctc_loss(lp, target, validate=False)
+            return
+        reference = reference_ctc(lp, target)
+        if reference is None:
+            with pytest.raises(NumericError):
+                ctc_loss(lp, target, validate=False)
+            return
+        loss, grad = ctc_loss(lp, target, validate=False)
+        assert np.float64(loss).tobytes() == np.float64(reference[0]).tobytes()
+        assert grad.tobytes() == reference[1].tobytes()
 
     def test_loss_maps_to_probability(self):
         rng = np.random.default_rng(8)

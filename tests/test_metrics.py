@@ -168,9 +168,12 @@ class TestTQuantiles:
         assert t_quantile_95(30) == pytest.approx(2.0423, abs=1e-4)
         assert t_quantile_95(200) == pytest.approx(1.9719, abs=1e-4)
 
-    def test_normal_tail_beyond_table(self):
-        assert t_quantile_95(201) == 1.96
-        assert t_quantile_95(10_000) == 1.96
+    def test_exact_past_df_200(self):
+        assert t_quantile_95(201) == pytest.approx(1.971837, abs=1e-6)
+        assert t_quantile_95(1000) == pytest.approx(1.962339, abs=1e-6)
+        assert t_quantile_95(100_000) == pytest.approx(1.959964, abs=5e-5)
+        vals = [t_quantile_95(df) for df in range(1, 1001)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_decreasing_over_table(self):
         vals = [t_quantile_95(df) for df in range(1, 201)]

@@ -44,12 +44,12 @@ from dsrkit.errors import (
     ShapeError,
     ValidationError,
 )
+from dsrkit.metrics import corpus_wer
 from dsrkit.pipeline import (
     ManifestRecord,
     _grouped_backward,
     _grouped_forward,
     RunConfig,
-    corpus_wer,
     embed_utterances,
     evaluate,
     finetune_triplet,
@@ -586,11 +586,22 @@ class TestFinetune:
         assert any(not np.array_equal(base.tensors[n], after.tensors[n])
                    for n in base.tensors)
 
-    def test_mel_width_mismatch_rejected(self, pretrained, tmp_path):
+    def test_mel_width_mismatch_rejected(self, pretrained, tmp_path, monkeypatch):
+        """Both stages that load a checkpoint compare its shape with the
+        config's before any WAV is decoded, and name both sides."""
         manifest, ckpt = pretrained
-        config = RunConfig(**{**vars(TINY), "n_mels": 24})
-        with pytest.raises(ShapeError):
-            finetune_triplet(manifest, ckpt, config, tmp_path / "bad")
+        decoded = []
+        monkeypatch.setattr(dsrkit.pipeline, "read_wav", decoded.append)
+        for stage, overrides, named in [
+            (finetune_triplet, {"n_mels": 24}, "input_dim 20 (config 24)"),
+            (evaluate, {"n_mels": 24}, "input_dim 20 (config 24)"),
+            (finetune_triplet, {"hidden_dim": 64, "n_layers": 3},
+             "n_layers 2 (config 3), hidden_dim 32 (config 64)"),
+        ]:
+            config = RunConfig(**{**vars(TINY), **overrides})
+            with pytest.raises(ShapeError, match=re.escape(named)):
+                stage(manifest, ckpt, config, tmp_path / "bad")
+        assert decoded == [] and not (tmp_path / "bad").exists()
 
     def test_deterministic_across_runs(self, pretrained, tmp_path):
         manifest, ckpt = pretrained
@@ -1111,6 +1122,9 @@ class TestCorpusWer:
         value = corpus_wer(["the cat sat", "a b"], ["the bat", "a b"])
         assert value == pytest.approx(2.0 / 5.0, abs=1e-12)
 
+    def test_empty_reference_line_counts_insertions(self):
+        assert corpus_wer(["the cat", ""], ["the cat", "x y"]) == 1.0
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             corpus_wer(["a"], ["a", "b"])
@@ -1210,6 +1224,8 @@ class TestCli:
         ("pretrain --seed 3000000000 --manifest {manifest}", ""),
         ("pretrain --manifest {manifest}", "[ge2e]\nn_speakers = 9\n"),
         ("finetune --manifest {manifest} --checkpoint {ckpt}", "[audio]\nn_mels = 24\n"),
+        ("evaluate --manifest {manifest} --checkpoint {ckpt}", "[audio]\nn_mels = 24\n"),
+        ("finetune --manifest {manifest} --checkpoint {ckpt}", "[encoder]\nhidden_dim = 64\n"),
         ("evaluate --manifest {manifest} --checkpoint {ckpt} --hyp {hyp}", ""),
         ("finetune --manifest {short} --checkpoint {ckpt}", ""),
         ("pretrain --manifest {blip}", "[ge2e]\nn_speakers = 2\nm_utterances = 2\n"),
@@ -1217,8 +1233,8 @@ class TestCli:
          "[ge2e]\nn_speakers = 2\nm_utterances = 2\nlr = nan\n"),
         ("evaluate --manifest {conflict} --checkpoint {ckpt}", ""),
     ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
-            "hypothesis_count", "short_clips", "clips_under_one_window", "lr_nan",
-            "conflicting_speaker"])
+            "mel_width_evaluate", "hidden_dim", "hypothesis_count", "short_clips",
+            "clips_under_one_window", "lr_nan", "conflicting_speaker"])
     def test_rejected_input_leaves_no_output(self, staged, short_manifest, blip_manifest,
                                              conflict_manifest, tmp_path, capsys, argv,
                                              ini):
