@@ -14,7 +14,11 @@ cell step (_cell_step) and differ only in what they keep:
 - Training (forward_batch(..., keep=True)) keeps each layer's activated
   gates as (T, 4H, B), its c_prev as (T, H, B) and its last cell state,
   5·T·H·B floats a layer. Each layer projects all T input frames with one
-  matmul before its time loop, which then adds only W_h h.
+  matmul before its time loop, which then adds only W_h h. A layer below
+  the top writes its h sequence into the c_prev array of the layer above,
+  whose projection reads it before that layer's cell states overwrite it,
+  and the top layer keeps its last two h in a ring: beyond its trace, a
+  training pass allocates nothing that grows with T.
 - Inference (keep=False) keeps the outputs only. Each step projects its
   own input frame, and each layer writes its h over its input sequence, so
   a pass holds one (T, H, B) array whatever the depth.
@@ -163,10 +167,11 @@ class BatchTrace:
     pass's bits. backward_batch consumes a training trace (consumed): it
     leaves gradients in these arrays, for forward_batch(..., out=) to
     overwrite. An inference trace (keep=False) has empty per-layer lists.
-    Both keep top: the top layer's last h, copied out of the h sequence as
-    an (H, B) block and viewed as (B, H). That is the layout the projection
-    has always read; a C-contiguous (B, H) copy changes the last bit of
-    some entries of top @ proj.w.T at the default H = 32.
+    Both keep top: the top layer's last h as an (H, B) block viewed as
+    (B, H), copied out of the top layer's two-step ring (at inference, out
+    of the h sequence). That is the layout the projection has always read;
+    a C-contiguous (B, H) copy changes the last bit of some entries of
+    top @ proj.w.T at the default H = 32.
 
     Everything but the input stack and the outputs is feature-major: time
     first, then features, then batch, so each gate of each step is one
@@ -225,31 +230,35 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
     if out is not None and out.stack.shape != stack.shape:
         raise ShapeError(f"out traced a {out.stack.shape} stack, not {stack.shape}")
     B, T, _ = stack.shape
-    H = cfg.hidden_dim
+    H, n_layers = cfg.hidden_dim, cfg.n_layers
     scale, offset = _gate_affine(H, B)
     row_scale = scale[:, :1]
     x = stack.transpose(1, 2, 0)
-    hs = np.empty((T, H, B))  # each layer's h, read and overwritten by the next
     tanh_c, ig = np.empty((H, B)), np.empty((H, B))
-    gates_all, c_prevs_all, c_lasts = [], [], []
-    for layer in range(cfg.n_layers):
+    if not keep:
+        gates_all, c_prevs_all, c_lasts = [], [], []
+        hs = np.empty((T, H, B))  # each layer's h, read and overwritten by the next
+    elif out is None:
+        gates_all = [np.empty((T, 4 * H, B)) for _ in range(n_layers)]
+        c_prevs_all = [np.empty((T, H, B)) for _ in range(n_layers)]
+        c_lasts = [np.empty((H, B)) for _ in range(n_layers)]
+    else:
+        gates_all, c_prevs_all, c_lasts = list(out.gates), list(out.c_prevs), list(out.c_lasts)
+    for layer in range(n_layers):
         wx = row_scale * params.tensors[f"lstm{layer}.w_x"]
         wh = row_scale * params.tensors[f"lstm{layer}.w_h"]
         bias = scale * params.tensors[f"lstm{layer}.b"][:, None]
         if keep:
-            if out is None:
-                gates, c_prevs = np.empty((T, 4 * H, B)), np.empty((T, H, B))
-                c_last = np.empty((H, B))
-            else:
-                gates, c_prevs = out.gates[layer], out.c_prevs[layer]
-                c_last = out.c_lasts[layer]
+            gates, c_prevs, c_last = gates_all[layer], c_prevs_all[layer], c_lasts[layer]
             # Input projection for every step at once; the loop adds only W_h h.
+            # It reads the layer below's h out of c_prevs before the loop
+            # writes this layer's cell states over it.
             np.matmul(wx, x, out=gates)
             gates += bias
             c_prevs[0] = 0.0
-            gates_all.append(gates)
-            c_prevs_all.append(c_prevs)
-            c_lasts.append(c_last)
+            # h goes into the c_prev array of the layer above, which reads it
+            # as its input; the top layer keeps its last two steps.
+            hs = c_prevs_all[layer + 1] if layer + 1 < n_layers else np.empty((2, H, B))
         else:
             a, c = np.empty((4 * H, B)), np.zeros((H, B))
         for t in range(T):
@@ -262,10 +271,10 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
                 a += bias
                 c_prev = c
             if t:
-                a += wh @ hs[t - 1]
-            _cell_step(a, c_prev, c, tanh_c, ig, hs[t], scale, offset)
+                a += wh @ hs[(t - 1) % len(hs)]
+            _cell_step(a, c_prev, c, tanh_c, ig, hs[t % len(hs)], scale, offset)
         x = hs
-    top = hs[-1].copy().T  # frees hs; the layout of a view of it (BatchTrace)
+    top = hs[(T - 1) % len(hs)].copy().T  # frees hs; the layout of a view of it (BatchTrace)
     pre_norm = top @ params.tensors["proj.w"].T + params.tensors["proj.b"]
     norms = np.linalg.norm(pre_norm, axis=1)
     if not np.all(np.isfinite(norms)):

@@ -642,6 +642,29 @@ class TestKeepLevels:
             tracemalloc.stop()
         assert peak < 8 * frames * params.config.hidden_dim * (batch - n_dead), peak
 
+    @pytest.mark.parametrize("batch,frames", [(64, 198), (96, 98)])
+    def test_training_pass_keeps_h_inside_its_trace(self, batch, frames):
+        """Each layer's h goes into the trace of the layer above and the top
+        layer's into a two-step ring: at the fine-tuning shapes a pass into a
+        lent trace allocates less than one (T, H, B) array, and a fresh pass
+        less than its trace plus one."""
+        params = init_params(EncoderConfig(n_layers=2, hidden_dim=32))
+        stack = np.random.default_rng(batch).normal(size=(batch, frames,
+                                                          params.config.input_dim))
+        one_sequence = 8 * frames * params.config.hidden_dim * batch
+        peaks = {}
+        for lend in (True, False):
+            trace = forward_batch(params, stack) if lend else None
+            tracemalloc.start()
+            try:
+                trace = forward_batch(params, stack, out=trace)
+                peaks[lend] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        trace_bytes = sum(a.nbytes for a in trace.gates + trace.c_prevs + trace.c_lasts)
+        assert peaks[True] < one_sequence, peaks
+        assert peaks[False] < trace_bytes + one_sequence, (peaks, trace_bytes)
+
     def test_inference_pass_holds_one_hidden_sequence(self):
         """At the evaluation's B240xT98 the full trace is about 85 MB; the
         inference pass holds one (T, H, B) array of 6 MB."""
