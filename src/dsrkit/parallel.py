@@ -6,32 +6,17 @@ worker per CPU this process may run on and starts no thread before the first
 ``pmap`` call. ``pmap`` is never called from inside a worker.
 """
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_POOL = ThreadPoolExecutor(_WORKERS)
+_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                           else os.cpu_count() or 1)
 
 
 def pmap(fn, items) -> list:
     """``[fn(x) for x in items]`` on the pool: results in input order, and
     the exception of the first failing item in that order is raised, once
-    every item has finished, so no work runs on after pmap returns. Each
-    worker runs one task that takes item indices from a shared counter."""
-    items = list(items)
-    results, errors = [None] * len(items), {}
-    indices = itertools.count()  # next() on it is atomic under the interpreter lock
-
-    def drain():
-        while (i := next(indices)) < len(items):
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # what a future would have held
-                errors[i] = exc
-
-    wait([_POOL.submit(drain) for _ in range(min(_WORKERS, len(items)))])
-    if errors:
-        raise errors[min(errors)]
-    return results
+    every item has finished, so no work runs on after pmap returns."""
+    futures = [_POOL.submit(fn, x) for x in items]
+    wait(futures)
+    return [f.result() for f in futures]

@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from dsrkit import parallel
 from dsrkit.parallel import pmap
 
 
@@ -32,16 +31,3 @@ def test_first_failing_item_raises():
         pmap(fail, range(8))
     # Every other item has finished by the time the error comes out.
     assert sorted(done) == [0, 1, 2, 4, 6, 7]
-
-
-def test_one_task_per_worker(monkeypatch):
-    # Items are pulled from a shared counter, not submitted one by one; an
-    # empty input submits nothing.
-    submits = []
-    submit = parallel._POOL.submit
-    monkeypatch.setattr(parallel._POOL, "submit",
-                        lambda *args: submits.append(args) or submit(*args))
-    assert pmap(lambda x: x + 1, range(240)) == list(range(1, 241))
-    assert 1 <= len(submits) <= parallel._POOL._max_workers
-    submits.clear()
-    assert pmap(lambda x: x, []) == [] and submits == []
