@@ -99,6 +99,8 @@ def read_wav(path) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
         raise UnsupportedFormatError(f"{path}: expected 16-bit samples, got {8 * sample_width}-bit")
+    if sample_rate < 1:
+        raise FormatError(f"{path}: header declares sample rate {sample_rate}")
     if len(raw) != 2 * n_frames:
         raise FormatError(f"{path}: data chunk holds {len(raw)} bytes, "
                           f"header declares {2 * n_frames}")
@@ -134,6 +136,9 @@ def synth_voice(spec: VoiceSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Audi
             f"at sample rate {sample_rate}"
         )
     n = int(round(spec.duration_s * sample_rate))
+    if n < 1:
+        raise ParameterError(f"duration {spec.duration_s!r} s is under one sample "
+                             f"at sample rate {sample_rate}")
     rng = np.random.default_rng(spec.seed)
     vib_rate = rng.uniform(4.5, 6.5)
     vib_phase = rng.uniform(0.0, 2.0 * np.pi)

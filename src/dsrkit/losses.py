@@ -40,26 +40,26 @@ class Ge2eScale:
 
 
 def triplet_loss(anchor, positive, negative, alpha: float):
-    """Hinge on squared distances: max(|a-p|^2 - |a-n|^2 + alpha, 0).
+    """Hinge on squared distances: max(|a-p|^2 - |a-n|^2 + alpha, 0), on
+    three vectors or summed over the rows of three (B, E) stacks.
 
-    Returns (loss, grad_anchor, grad_positive, grad_negative). The
-    subgradient at the kink is 0, so an exactly-met margin does not move
-    any embedding.
+    Returns (loss, grad_anchor, grad_positive, grad_negative). The row
+    hinges are added left to right and every zero gradient is +0.0. The
+    subgradient at the kink is 0 (FaceNet, Schroff et al. 2015,
+    arXiv:1503.03832), so an exactly-met margin does not move any embedding.
     """
-    a = np.asarray(anchor, dtype=np.float64)
-    p = np.asarray(positive, dtype=np.float64)
-    n = np.asarray(negative, dtype=np.float64)
-    if not (a.shape == p.shape == n.shape) or a.ndim != 1:
-        raise ShapeError("anchor, positive, negative must be vectors of one shape")
-    if alpha < 0:
-        raise ParameterError("alpha must be nonnegative")
-    ap = a - p
-    an = a - n
-    raw = float(ap @ ap - an @ an) + alpha
-    if raw <= 0.0:
-        z = np.zeros_like(a)
-        return 0.0, z, z.copy(), z.copy()
-    return raw, 2.0 * (n - p), -2.0 * ap, 2.0 * an
+    a, p, n = (np.asarray(x, dtype=np.float64) for x in (anchor, positive, negative))
+    if not (a.shape == p.shape == n.shape) or a.ndim not in (1, 2):
+        raise ShapeError("anchor, positive, negative must be vectors or stacks of one shape")
+    if not 0 <= alpha < np.inf:  # also rejects NaN
+        raise ParameterError("alpha must be nonnegative and finite")
+    ap, an = a - p, a - n
+    raw = np.vecdot(ap, ap) - np.vecdot(an, an) + alpha  # a 1-D @ per row
+    active = ~(raw <= 0.0)  # a NaN row stays in, so its loss is NaN
+    loss = np.add.accumulate(np.append(0.0, np.where(active, raw, 0.0)))[-1]
+    # + 0.0 turns a -0.0 gradient into +0.0.
+    return float(loss), *(np.where(active[..., None], g, 0.0) + 0.0
+                          for g in (2.0 * (n - p), -2.0 * ap, 2.0 * an))
 
 
 def ge2e_loss(embeddings, scale: Ge2eScale):

@@ -123,7 +123,7 @@ class RunConfig:
                 raise ValidationError(f"config field {f.name} must be finite")
             if low == "positive" and value <= 0 or low == "nonnegative" and value < 0:
                 raise ValidationError(f"config field {f.name} must be {low}")
-        for name in ("win_s", "hop_s"):  # log_mel's rounding to samples
+        for name in ("win_s", "hop_s", "duration_s"):  # rounded to samples
             if int(round(getattr(self, name) * self.sample_rate)) < 1:
                 raise ValidationError(
                     f"config field {name} = {getattr(self, name)!r} s is under one "
@@ -579,14 +579,9 @@ def finetune_triplet(manifest_path, base_checkpoint, config: RunConfig,
                for batch in triplets)
 
     def objective(embeddings):
-        # += into zeros, not assignment: it turns a -0.0 gradient into +0.0.
-        grad_out = np.zeros_like(embeddings)
-        total = 0.0
-        for row in range(0, len(embeddings), 3):
-            loss, *grads = triplet_loss(*embeddings[row:row + 3], config.alpha)
-            total += loss
-            grad_out[row:row + 3] += grads
-        return total, grad_out
+        rows = embeddings.reshape(-1, 3, embeddings.shape[1])  # (anchor, positive, negative)
+        loss, *grads = triplet_loss(rows[:, 0], rows[:, 1], rows[:, 2], config.alpha)
+        return loss, np.stack(grads, axis=1).reshape(embeddings.shape)
 
     return _train(params, batches, objective, config.triplet_lr, config.triplet_clip,
                   config, out_dir, "finetune", "finetuned.ckpt")

@@ -129,6 +129,16 @@ class TestWavErrors:
         with pytest.raises(FormatError, match="past"):
             read_wav(path)
 
+    def test_zero_sample_rate_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_wav(AudioBuffer(np.zeros(100)), path)
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = struct.pack("<I", 0)  # 'fmt ' sample rate
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as info:
+            read_wav(path)
+        assert str(info.value) == f"{path}: header declares sample rate 0"
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_truncation_or_byte_flip_loads_or_is_a_dsrkit_error(
@@ -197,6 +207,12 @@ class TestSynthVoice:
         with pytest.raises(ParameterError):
             synth_voice(VoiceSpec(f0=1000.0, n_harmonics=8, harmonic_rolloff=12.0,
                                   duration_s=0.5))
+
+    def test_spec_with_no_samples_rejected(self):
+        # 0.16 samples at 16 kHz rounds to none.
+        with pytest.raises(ParameterError, match="under one sample"):
+            synth_voice(VoiceSpec(f0=200.0, n_harmonics=4, harmonic_rolloff=12.0,
+                                  duration_s=0.00001))
 
     def test_vibrato_stays_within_cents_band(self):
         cents = 50.0

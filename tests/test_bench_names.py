@@ -97,6 +97,8 @@ def test_traced_experiment_matches_untraced(tmp_path, monkeypatch):
         "encoder.forward_batch.calls": 2, "encoder.forward_batch.seqs": 24,
         "encoder.forward_batch.frames": 1152, "encoder.forward_batch.B16xT48.calls": 1,
         "encoder.forward_batch.B8xT48.calls": 1}
+    # One triplet objective per fine-tuning iteration.
+    assert stats["losses.triplet_loss.calls"] == config.triplet_iterations
     for name in ("sampling.build_triplet", "sampling.batch", "pipeline.gender_centroids",
                  "pipeline.probe_shifted_females", "encoder.backward_batch"):
         assert stats.get(f"{name}.calls", 0) >= 1, name

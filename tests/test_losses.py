@@ -36,6 +36,21 @@ def rel_err(a, b, floor=1e-6):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
+def per_row_triplets(a, p, n, alpha):
+    """The loop fine-tuning ran before its one call per batch: one hinge per
+    row, losses added left to right, gradients added into zeros."""
+    grads = np.zeros((3,) + a.shape)
+    total = 0.0
+    for row in range(len(a)):
+        ap, an = a[row] - p[row], a[row] - n[row]
+        raw = float(ap @ ap - an @ an) + alpha
+        if raw <= 0.0:
+            continue
+        total += raw
+        grads[:, row] += (2.0 * (n[row] - p[row]), -2.0 * ap, 2.0 * an)
+    return total, *grads
+
+
 class TestTripletLoss:
     def test_hand_value(self):
         loss, *_ = triplet_loss([0.0, 0.0], [3.0, 4.0], [0.0, 1.0], alpha=0.5)
@@ -103,6 +118,44 @@ class TestTripletLoss:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ParameterError):
             triplet_loss([0.0], [0.0], [0.0], alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="finite"):
+            triplet_loss([0.0], [0.0], [0.0], alpha=alpha)
+
+    def test_empty_stack_gives_zero_loss(self):
+        empty = np.zeros((0, 4))
+        loss, *grads = triplet_loss(empty, empty, empty, alpha=0.3)
+        assert loss == 0.0 and not np.signbit(loss)
+        for g in grads:
+            assert g.shape == (0, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 3, 16, 17]),
+           alpha=st.sampled_from([0.0, 0.25, 0.3, 1.0, 3.0]), grid=st.booleans(),
+           modes=st.lists(st.sampled_from(["free", "p=a", "n=p", "repeat"]), max_size=24))
+    @example(seed=0, dim=3, alpha=0.0, grid=True, modes=["n=p", "free", "repeat"])
+    def test_stack_matches_per_row_loop_bit_for_bit(self, seed, dim, alpha, grid, modes):
+        # On a half-integer grid with exact alphas, many rows sit exactly at
+        # the kink; n = p at alpha 0 always does.
+        rng = np.random.default_rng(seed)
+        shape = (len(modes), 3, dim)
+        rows = rng.integers(-2, 3, size=shape) * 0.5 if grid else rng.normal(size=shape)
+        for i, mode in enumerate(modes):
+            if mode == "p=a":
+                rows[i, 1] = rows[i, 0]
+            elif mode == "n=p":
+                rows[i, 2] = rows[i, 1]
+            elif mode == "repeat" and i:
+                rows[i] = rows[i - 1]
+        a, p, n = rows[:, 0], rows[:, 1], rows[:, 2]
+        got = triplet_loss(a, p, n, alpha)
+        want = per_row_triplets(a, p, n, alpha)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        for g, w in zip(got[1:], want[1:]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            npt.assert_array_equal(np.signbit(g), np.signbit(w))
 
 
 class TestGe2eLoss:

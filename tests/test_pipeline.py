@@ -402,12 +402,15 @@ class TestConfig:
         RunConfig(female_f0_min=200.0, female_f0_max=240.0)  # sub-range is fine
 
     @pytest.mark.parametrize("key,value", [("win_s", "0.00003"), ("hop_s", "1e-05"),
-                                           ("hop_s", "0.00003125")])
+                                           ("hop_s", "0.00003125"),
+                                           ("duration_s", "0.00001")])
     def test_window_or_hop_under_one_sample_rejected(self, tmp_path, capsys, key, value):
-        """Rounded to samples at 16 kHz these are 0; the run must stop at the
-        config, before any WAV is decoded or any corpus is synthesised."""
+        """Rounded to samples at 16 kHz these are 0 (a clip of no sample for
+        duration_s); the run must stop at the config, before any WAV is
+        decoded or any corpus is synthesised."""
+        section = "corpus" if key == "duration_s" else "audio"
         path = tmp_path / "short.ini"
-        path.write_text(f"[audio]\n{key} = {value}\n", encoding="utf-8")
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=f"field {key} = .* under one sample"):
             load_config(path)
         out = tmp_path / "corpus"
