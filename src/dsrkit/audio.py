@@ -80,7 +80,6 @@ def read_wav(path) -> AudioBuffer:
         with open(path, "rb") as fh, wave.open(fh) as wf:
             n_channels = wf.getnchannels()
             sample_width = wf.getsampwidth()
-            comp_type = wf.getcomptype()
             sample_rate = wf.getframerate()
             n_frames = wf.getnframes()
             declared = n_frames * n_channels * sample_width
@@ -93,8 +92,6 @@ def read_wav(path) -> AudioBuffer:
         raise FormatError(f"{path}: not a valid RIFF/WAVE file ({exc})") from exc
     except RuntimeError as exc:  # wave's bare error for a seek past a chunk's end
         raise FormatError(f"{path}: a chunk size points past its enclosing chunk") from exc
-    if comp_type != "NONE":
-        raise UnsupportedFormatError(f"{path}: compressed WAV ({comp_type}) not supported")
     if n_channels != 1:
         raise UnsupportedFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
@@ -119,13 +116,10 @@ def write_wav(buffer: AudioBuffer, path) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def synth_voice(spec: VoiceSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
-    """Render a harmonic stack voice, peak-normalized to 0.9.
-
-    Harmonic k sits at k * f0 with amplitude rolled off by
-    ``harmonic_rolloff`` dB per octave; a slow seeded vibrato modulates f0
-    by up to ``vibrato_cents``. Deterministic in (spec, sample_rate).
-    """
+def voice_samples(spec: VoiceSpec, sample_rate: int) -> int:
+    """The number of samples spec renders to at sample_rate; ParameterError
+    for a spec that cannot be rendered there (no sample, or a harmonic at
+    or above Nyquist)."""
     if spec.f0 <= 0:
         raise ParameterError("f0 must be positive")
     if spec.n_harmonics < 1:
@@ -139,6 +133,17 @@ def synth_voice(spec: VoiceSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Audi
     if n < 1:
         raise ParameterError(f"duration {spec.duration_s!r} s is under one sample "
                              f"at sample rate {sample_rate}")
+    return n
+
+
+def synth_voice(spec: VoiceSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
+    """Render a harmonic stack voice, peak-normalized to 0.9.
+
+    Harmonic k sits at k * f0 with amplitude rolled off by
+    ``harmonic_rolloff`` dB per octave; a slow seeded vibrato modulates f0
+    by up to ``vibrato_cents``. Deterministic in (spec, sample_rate).
+    """
+    n = voice_samples(spec, sample_rate)
     rng = np.random.default_rng(spec.seed)
     vib_rate = rng.uniform(4.5, 6.5)
     vib_phase = rng.uniform(0.0, 2.0 * np.pi)

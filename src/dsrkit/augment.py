@@ -17,8 +17,6 @@ outputs are therefore bit for bit those of the per-step and per-frame
 loops that ``tests/test_augment.py`` keeps as references.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -33,21 +31,6 @@ MIN_SAMPLES = N_FFT + 3 * HOP
 
 WINDOW = np.hanning(N_FFT)
 WINDOW.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class AugmentCoeffs:
-    """Severity-dependent strengths: pitch_coeff c gives frequency ratio
-    1 - c/2; tempo_coeff t is a speed factor (duration scales by 1/t)."""
-
-    pitch_coeff: float
-    tempo_coeff: float
-
-    def __post_init__(self):
-        if not 0.0 < self.pitch_coeff <= 1.0:
-            raise ParameterError(f"pitch_coeff {self.pitch_coeff} outside (0, 1]")
-        if not 0.0 < self.tempo_coeff <= 1.0:
-            raise ParameterError(f"tempo_coeff {self.tempo_coeff} outside (0, 1]")
 
 
 def _stft(x: np.ndarray) -> np.ndarray:

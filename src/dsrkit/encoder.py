@@ -90,10 +90,7 @@ class EncoderConfig:
 
 def tensor_order(config: EncoderConfig):
     """Canonical tensor names: serialization and reductions both follow it."""
-    names = []
-    for layer in range(config.n_layers):
-        names += [f"lstm{layer}.w_x", f"lstm{layer}.w_h", f"lstm{layer}.b"]
-    return names + ["proj.w", "proj.b"]
+    return list(_tensor_shapes(config))
 
 
 def _tensor_shapes(config: EncoderConfig):

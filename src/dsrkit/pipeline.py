@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import VoiceSpec, log_mel, mel_window_length, read_wav, synth_voice, write_wav
+from .audio import (
+    VoiceSpec,
+    log_mel,
+    mel_window_length,
+    read_wav,
+    synth_voice,
+    voice_samples,
+    write_wav,
+)
 from .augment import check_input, pitch_shift, tempo_change
 from .encoder import (
     EncoderConfig,
@@ -172,7 +180,9 @@ def load_config(path=None, seed=None) -> RunConfig:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except ConfigParserError as exc:
-            raise ValidationError(f"{path}: cannot parse config ({exc})") from exc
+            # ConfigParser's message spans lines; the error is one line.
+            message = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ValidationError(f"{path}: cannot parse config ({message})") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: config is not UTF-8 ({exc})") from exc
         if parser.defaults():
@@ -311,11 +321,16 @@ def write_manifest(records, path) -> Path:
 
 def load_utterances(records, config: RunConfig, augmented: bool) -> list:
     """Check each record's WAV and return its utterance, which holds no
-    audio. The WAVs are decoded in record order, and the first bad one is
+    audio. The records are checked in order, and the first bad one is
     named: its rate must be config.sample_rate, which the mel window, hop
     and filterbank are defined against, and it must hold at least one mel
-    window, and augment.MIN_SAMPLES if every clip is to be augmented."""
+    window. If every clip is to be augmented, its speaker must also have a
+    severity, which sets the augmentation strengths, and the clip must hold
+    augment.MIN_SAMPLES."""
     for r in records:
+        if augmented and r.severity is None:
+            raise ValidationError(f"{r.wav_path}: speaker {r.speaker_id} has no severity; "
+                                  f"its clips cannot be augmented")
         buf = read_wav(r.wav_path)
         if buf.sample_rate != config.sample_rate:
             raise ValidationError(
@@ -344,7 +359,6 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
     """
     out = Path(out_dir)
     wav_dir = out / "wavs"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     n_female = (config.corpus_speakers + 1) // 2
     speakers = []  # (speaker_id, gender, base f0), females first
     for gender, count, lo, hi in (
@@ -369,6 +383,7 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
                 vibrato_cents=float(rng.uniform(5.0, 20.0)),
                 seed=int(rng.integers(2**31)),
             )
+            voice_samples(spec, config.sample_rate)  # every voice renders, or no file is made
             wav_path = wav_dir / f"{speaker_id}-{utt_idx:02d}.wav"
             words = rng.choice(VOCAB, size=int(rng.integers(3, 6)), replace=True)
             jobs.append((spec, wav_path))
@@ -376,6 +391,7 @@ def synth_corpus(config: RunConfig, out_dir) -> Path:
                                           config.severity, " ".join(words)))
     # synth_voice seeds its own generator, so rendering after the draws
     # changes no draw; each worker writes its WAV and keeps no buffer.
+    wav_dir.mkdir(parents=True, exist_ok=True)
     pmap(lambda job: write_wav(synth_voice(job[0], config.sample_rate), job[1]), jobs)
     return write_manifest(records, out / "manifest.tsv")
 

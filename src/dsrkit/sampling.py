@@ -16,17 +16,30 @@ features, in the caller's cache under their utterance_ids.
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .augment import AugmentCoeffs, pitch_shift, tempo_change
+from .augment import pitch_shift, tempo_change
 from .errors import ParameterError, SamplingError
 from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
 GENDERS = ("female", "male")
-SEVERITIES = ("moderate", "moderate_severe")
+
+
+class Coeffs(NamedTuple):
+    """Augmentation strengths: pitch_coeff c gives frequency ratio 1 - c/2
+    (`pitch_shift`); tempo_coeff t is a speed factor, so duration scales by
+    1/t (`tempo_change`)."""
+
+    pitch_coeff: float
+    tempo_coeff: float
+
+
+SEVERITY_COEFFS = {"moderate": Coeffs(0.25, 0.7), "moderate_severe": Coeffs(0.5, 0.5)}
+SEVERITIES = tuple(SEVERITY_COEFFS)
 
 
 @dataclass
@@ -68,13 +81,12 @@ class Triplet:
             raise ParameterError("negative may not be the unmodified anchor")
 
 
-def coeffs_for(severity: str) -> AugmentCoeffs:
-    """Severity-dependent augmentation strengths."""
-    if severity == "moderate_severe":
-        return AugmentCoeffs(pitch_coeff=0.5, tempo_coeff=0.5)
-    if severity == "moderate":
-        return AugmentCoeffs(pitch_coeff=0.25, tempo_coeff=0.7)
-    raise ParameterError(f"no coefficients defined for severity {severity!r}")
+def coeffs_for(severity: str) -> Coeffs:
+    """The augmentation strengths of severity (`SEVERITY_COEFFS`)."""
+    try:
+        return SEVERITY_COEFFS[severity]
+    except KeyError:
+        raise ParameterError(f"no coefficients defined for severity {severity!r}") from None
 
 
 def derive(utt: Utterance, tag: str, transform) -> Utterance:
@@ -115,7 +127,7 @@ def build_triplet(anchor: Utterance, pool, seed: int) -> Triplet:
     coeffs = coeffs_for(anchor.severity)
     positive = derive(anchor, f"tempo{coeffs.tempo_coeff}",
                       lambda clip: tempo_change(clip, coeffs.tempo_coeff))
-    tag = {"pitch_coeff": coeffs.pitch_coeff, "tempo_coeff": coeffs.tempo_coeff}
+    tag = coeffs._asdict()
     if anchor.gender == "female":
         negative = derive(anchor, f"pitch{coeffs.pitch_coeff}",
                           lambda clip: pitch_shift(clip, coeffs.pitch_coeff))

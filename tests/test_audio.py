@@ -139,6 +139,18 @@ class TestWavErrors:
             read_wav(path)
         assert str(info.value) == f"{path}: header declares sample rate 0"
 
+    def test_ieee_float_rejected_by_format_tag(self, tmp_path):
+        """wave refuses every format tag but PCM, so a non-PCM file never
+        reaches the checks on channels and sample width."""
+        path = tmp_path / "float.wav"
+        data = np.full(4, 0.25, dtype="<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, 16000, 4 * 16000, 4, 32)  # IEEE float
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data))
+                         + b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+                         + b"data" + struct.pack("<I", len(data)) + data)
+        with pytest.raises(FormatError, match=r"float\.wav: .*unknown format: 3"):
+            read_wav(path)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_truncation_or_byte_flip_loads_or_is_a_dsrkit_error(

@@ -12,7 +12,6 @@ from dsrkit.augment import (
     MIN_SAMPLES,
     N_FFT,
     WINDOW,
-    AugmentCoeffs,
     _istft,
     _phase_vocoder,
     _stft,
@@ -20,6 +19,7 @@ from dsrkit.augment import (
     tempo_change,
 )
 from dsrkit.errors import EmptyInputError, ParameterError
+from dsrkit.sampling import SEVERITY_COEFFS
 
 SR = 16000
 
@@ -116,21 +116,15 @@ class TestTempoChange:
             tempo_change(buf, 1.2)
 
 
-class TestAugmentCoeffs:
-    def test_valid_pairs(self):
-        AugmentCoeffs(0.5, 0.5)
-        AugmentCoeffs(0.25, 0.7)
-        AugmentCoeffs(1.0, 1.0)
-
-    def test_invalid_pairs(self):
-        with pytest.raises(ParameterError):
-            AugmentCoeffs(0.0, 0.5)
-        with pytest.raises(ParameterError):
-            AugmentCoeffs(0.5, 0.0)
-        with pytest.raises(ParameterError):
-            AugmentCoeffs(1.1, 0.5)
-        with pytest.raises(ParameterError):
-            AugmentCoeffs(0.5, 1.1)
+class TestSeverityCoeffs:
+    def test_each_entry_runs_through_both_transforms(self):
+        """Each severity's strengths are in range for the transforms that
+        use them, which check their ranges on every call."""
+        buf = tone(220.0, duration_s=MIN_SAMPLES / SR)
+        assert len(buf) == MIN_SAMPLES
+        for pitch_coeff, tempo_coeff in SEVERITY_COEFFS.values():
+            assert len(pitch_shift(buf, pitch_coeff)) == MIN_SAMPLES
+            assert len(tempo_change(buf, tempo_coeff)) == round(MIN_SAMPLES / tempo_coeff)
 
 
 class TestOnVoiceLikeSignal:

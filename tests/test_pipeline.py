@@ -42,6 +42,7 @@ from dsrkit.errors import (
     NumericError,
     ParameterError,
     ShapeError,
+    UndefinedMetricError,
     ValidationError,
 )
 from dsrkit.metrics import corpus_wer
@@ -90,6 +91,30 @@ def conflict_manifest(tiny_corpus, tmp_path_factory):
                             f"\t{r.transcript}\n" for r in s1 + records[2:]),
                     encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def odd_manifests(tiny_corpus, tmp_path_factory):
+    """Valid manifests of the tiny corpus that some stage must refuse, by
+    name: "severityless" gives its last speaker no severity, "female_only"
+    keeps only the female speakers, "untranscribed" blanks every
+    transcript, and "untranscribed_hyp" holds one hypothesis line per
+    record of it."""
+    _, records = tiny_corpus
+    last = records[-1].speaker_id
+    out = tmp_path_factory.mktemp("odd")
+    hyp = out / "untranscribed.hyp"
+    hyp.write_text("the north wind\n" * len(records), encoding="utf-8")
+    return {
+        "severityless": write_manifest(
+            [dataclasses.replace(r, severity=None) if r.speaker_id == last else r
+             for r in records], out / "severityless.tsv"),
+        "female_only": write_manifest([r for r in records if r.gender == "female"],
+                                      out / "female_only.tsv"),
+        "untranscribed": write_manifest([dataclasses.replace(r, transcript="")
+                                         for r in records], out / "untranscribed.tsv"),
+        "untranscribed_hyp": hyp,
+    }
 
 
 class TestManifest:
@@ -332,7 +357,10 @@ class TestConfig:
         (b"[corpus]\nseverity = moderate\xff\n", "not UTF-8"),
         (b"[DEFAULT]\nseed = 3\n", r"\[DEFAULT\].*seed"),
         (b"[DEFAULT]\nseed = 3\n[run]\nholdout_per_speaker = 1\n", r"\[DEFAULT\].*seed"),
-    ], ids=["percent_is_literal", "not_utf8", "default_only", "default_with_section"])
+        (b"seed = 3\n[run]\n", r"no section headers.* line: 1 'seed = 3\\n'\)$"),
+        (b"[run]\nseed = 3\n[ge2e\nlr = 0.1\n", r"parsing errors.* \[line  3\]: '\[ge2e\\n'\)$"),
+    ], ids=["percent_is_literal", "not_utf8", "default_only", "default_with_section",
+            "key_before_section", "unclosed_section"])
     def test_malformed_ini_rejected(self, tmp_path, capsys, text, match):
         path = tmp_path / "bad.ini"
         path.write_bytes(text)
@@ -499,6 +527,14 @@ class TestSynthCorpus:
         _, records = tiny_corpus
         assert all(r.severity == "moderate_severe" for r in records)
 
+    def test_aliasing_voice_writes_nothing(self, tmp_path):
+        """At 3 kHz the female voices' top harmonics pass Nyquist: every
+        voice is checked before the first file is written."""
+        config = RunConfig(**{**vars(TINY), "sample_rate": 3000})
+        with pytest.raises(ParameterError, match="would alias at sample rate 3000"):
+            synth_corpus(config, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
 
 class TestSplitHoldout:
     def test_per_speaker_counts(self, tiny_corpus):
@@ -514,6 +550,12 @@ class TestSplitHoldout:
         _, records = tiny_corpus
         with pytest.raises(ParameterError):
             split_holdout(records, 3)
+
+    def test_experiment_without_holdout_rejected(self, tmp_path):
+        config = RunConfig(**{**vars(TINY), "holdout_per_speaker": 0})
+        with pytest.raises(ParameterError, match="at least one held-out utterance"):
+            run_gender_experiment(config, tmp_path / "exp")
+        assert not (tmp_path / "exp").exists()
 
 
 class TestPretrain:
@@ -606,6 +648,20 @@ class TestFinetune:
                 stage(manifest, ckpt, config, tmp_path / "bad")
         assert decoded == [] and not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_speaker_without_severity_refused_before_training(
+            self, odd_manifests, pretrained, tmp_path, seed):
+        """Refused whatever the draw: at seed 0 the first batch draws one of
+        that speaker's clips as an anchor, at seed 4 it draws none."""
+        _, ckpt = pretrained
+        manifest = odd_manifests["severityless"]
+        first = next(r for r in load_manifest(manifest) if r.severity is None)
+        config = RunConfig(**{**vars(TINY), "seed": seed, "triplet_iterations": 1})
+        with pytest.raises(ValidationError, match=f"^{re.escape(first.wav_path)}: speaker "
+                                                  f"{first.speaker_id} has no severity"):
+            finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        assert not (tmp_path / "ft").exists()
+
     def test_deterministic_across_runs(self, pretrained, tmp_path):
         manifest, ckpt = pretrained
         a = finetune_triplet(manifest, ckpt, TINY, tmp_path / "fa")
@@ -688,6 +744,27 @@ class TestEvaluate:
         wer_lines = [line for line in report.read_text().splitlines()
                      if line.startswith("wer,")]
         assert wer_lines == ["wer,corpus,0.0,,"]
+
+    def test_speaker_without_severity_probed_at_config_severity(self, odd_manifests,
+                                                                staged, tmp_path):
+        """The corpus's severity is the config's, so the report is the same."""
+        manifest, _, ckpt = staged
+        reports = [evaluate(m, ckpt, TINY, tmp_path / name).read_bytes()
+                   for name, m in (("a", odd_manifests["severityless"]), ("b", manifest))]
+        assert reports[0] == reports[1]
+
+    def test_no_male_speaker_rejected(self, odd_manifests, staged, tmp_path):
+        _, _, ckpt = staged
+        with pytest.raises(InsufficientBatchError, match="no male utterances"):
+            evaluate(odd_manifests["female_only"], ckpt, TINY, tmp_path / "ev")
+        assert not (tmp_path / "ev").exists()
+
+    def test_wer_of_untranscribed_corpus_rejected(self, odd_manifests, staged, tmp_path):
+        _, _, ckpt = staged
+        with pytest.raises(UndefinedMetricError, match="no reference words"):
+            evaluate(odd_manifests["untranscribed"], ckpt, TINY, tmp_path / "ev",
+                     hypotheses_path=odd_manifests["untranscribed_hyp"])
+        assert not (tmp_path / "ev").exists()
 
     def test_deterministic_reports(self, staged, tmp_path):
         manifest, records, ckpt = staged
@@ -1235,12 +1312,20 @@ class TestCli:
         ("pretrain --manifest {manifest}",
          "[ge2e]\nn_speakers = 2\nm_utterances = 2\nlr = nan\n"),
         ("evaluate --manifest {conflict} --checkpoint {ckpt}", ""),
+        ("synth-corpus", "[audio]\nsample_rate = 3000\n"),
+        ("pretrain --manifest {manifest}", "[ge2e]\nn_speakers = 1\n"),
+        ("finetune --manifest {severityless} --checkpoint {ckpt}", ""),
+        ("evaluate --manifest {female_only} --checkpoint {ckpt}", ""),
+        ("evaluate --manifest {untranscribed} --checkpoint {ckpt} --hyp {untranscribed_hyp}",
+         ""),
     ], ids=["seed_negative", "seed_over_int32", "few_rich_speakers", "mel_width",
             "mel_width_evaluate", "hidden_dim", "hypothesis_count", "short_clips",
-            "clips_under_one_window", "lr_nan", "conflicting_speaker"])
+            "clips_under_one_window", "lr_nan", "conflicting_speaker", "aliasing_voice",
+            "ge2e_one_speaker", "speaker_without_severity", "no_male_speaker",
+            "untranscribed_wer"])
     def test_rejected_input_leaves_no_output(self, staged, short_manifest, blip_manifest,
-                                             conflict_manifest, tmp_path, capsys, argv,
-                                             ini):
+                                             conflict_manifest, odd_manifests, tmp_path,
+                                             capsys, argv, ini):
         manifest, records, ckpt = staged
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("one line\n" * (len(records) + 1), encoding="utf-8")
@@ -1248,7 +1333,7 @@ class TestCli:
         config.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         args = [a.format(manifest=manifest, ckpt=ckpt, hyp=hyp, short=short_manifest,
-                         blip=blip_manifest, conflict=conflict_manifest)
+                         blip=blip_manifest, conflict=conflict_manifest, **odd_manifests)
                 for a in argv.split()]
         assert main(args + ["--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
