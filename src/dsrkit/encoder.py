@@ -208,9 +208,11 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
     outputs: each step projects its own input, and each layer overwrites
     its input sequence with its h, so the pass holds one (T, H, B) array.
     out, the training trace of an earlier call on a stack of the same
-    shape, consumed by backward_batch or not, lends its gate and cell-state
-    arrays: they are overwritten and returned in the new trace, so out must
-    not be used after the call.
+    shape under the same n_layers and hidden_dim, consumed by
+    backward_batch or not, lends its gate and cell-state arrays: they are
+    overwritten and returned in the new trace, so out must not be used
+    after the call. Any other out raises ShapeError before anything is
+    written.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
@@ -228,6 +230,12 @@ def forward_batch(params: EncoderParams, stack: np.ndarray, out=None,
         raise ShapeError(f"out traced a {out.stack.shape} stack, not {stack.shape}")
     B, T, _ = stack.shape
     H, n_layers = cfg.hidden_dim, cfg.n_layers
+    if out is not None and any(
+            len(arrays) != n_layers or any(a.shape != shape for a in arrays)
+            for arrays, shape in ((out.gates, (T, 4 * H, B)), (out.c_prevs, (T, H, B)),
+                                  (out.c_lasts, (H, B)))):
+        raise ShapeError(f"out was traced under another encoder shape, "
+                         f"not {n_layers} layers of hidden_dim {H}")
     scale, offset = _gate_affine(H, B)
     row_scale = scale[:, :1]
     x = stack.transpose(1, 2, 0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, encoder
 from .audio import (
     VoiceSpec,
     log_mel,
@@ -59,7 +59,7 @@ from .metrics import (
     write_csv_report,
     write_text_report,
 )
-from .parallel import pmap
+from .parallel import pmap, worker
 from .sampling import (
     GENDERS,
     SEVERITIES,
@@ -440,6 +440,33 @@ def mel_for(utt: Utterance, cache: dict):
                           f"cache_features makes them before it is encoded") from None
 
 
+# In the worker process: the training trace of the group it encoded last,
+# lent to its next forward pass of the same stack shape and encoder config,
+# and the params its backward pass takes.
+_IN_WORKER = {}
+
+
+def _worker_forward(params, stack):
+    """forward_batch in the worker process. It is looked up in
+    dsrkit.encoder, so no patch of dsrkit.pipeline's names (a tracer, a
+    test) inherited by the fork reaches it. A kept trace that cannot be
+    lent is dropped before the new one is allocated."""
+    shape = (stack.shape, params.config)
+    trace = _IN_WORKER.pop("trace", None) if _IN_WORKER.get("shape") == shape else None
+    _IN_WORKER.clear()
+    trace = encoder.forward_batch(params, stack, out=trace)
+    _IN_WORKER.update(shape=shape, trace=trace, params=params)
+    return trace.embeddings
+
+
+def _worker_backward(grad_out):
+    return encoder.backward_batch(_IN_WORKER.pop("params"), _IN_WORKER["trace"], grad_out)
+
+
+def _worker_release():
+    _IN_WORKER.clear()
+
+
 def _grouped_forward(params, mels, previous=None, keep=True):
     """Encode a mixed-length list by grouping equal frame counts, each
     distinct mel object once (mel_for returns one object per utterance).
@@ -452,6 +479,12 @@ def _grouped_forward(params, mels, previous=None, keep=True):
     overwritten in place, and every other is dropped before any new trace
     is allocated, so a caller that passes its last groups holds one call's
     traces at a time.
+
+    A training call (keep=True) with several groups sends the one with the
+    most frames (rows x frames) to the worker process, when there is one,
+    and encodes the others meanwhile. That group's trace is None here: the
+    worker keeps it, for the backward pass and the next call, and it runs
+    the same forward_batch on the same stack, so no bit moves.
     """
     by_len = {}
     for row, m in enumerate(mels):
@@ -464,13 +497,21 @@ def _grouped_forward(params, mels, previous=None, keep=True):
         plan[n_frames] = (rows, index, [m.frames for _, m in distinct.values()])
     shapes = {n: (len(frames),) + frames[0].shape for n, (_, _, frames) in plan.items()}
     reusable = {n: trace for n, (_, _, trace) in (previous or {}).items()
-                if trace.stack.shape == shapes.get(n)}
+                if trace is not None and trace.stack.shape == shapes.get(n)}
     if previous:
         previous.clear()
     embeddings = np.empty((len(mels), params.config.embed_dim))
     groups = {}
+    far = None
+    if keep and len(plan) > 1 and worker():
+        far = max(plan, key=lambda n: n * len(plan[n][2]))
+        remote = worker().submit(_worker_forward, params, np.stack(plan[far][2]))
     for n_frames in sorted(plan):
         rows, index, frames = plan[n_frames]
+        if n_frames == far:
+            embeddings[rows] = remote.result()[index]
+            groups[n_frames] = (rows, index, None)
+            continue
         trace = forward_batch(params, np.stack(frames), out=reusable.pop(n_frames, None),
                               keep=keep)
         embeddings[rows] = trace.embeddings[index]
@@ -481,13 +522,22 @@ def _grouped_forward(params, mels, previous=None, keep=True):
 def _grouped_backward(params, groups, grad_out):
     """Parameter gradients of sum_row grad_out[row] . embedding[row]; a
     repeated mel's rows are summed, in row order, into its encoded row.
-    Consumes every trace (backward_batch): pass groups on only as previous."""
-    total = zero_grads(params)
-    for n_frames in sorted(groups):
-        rows, index, trace = groups[n_frames]
-        g = np.zeros(trace.embeddings.shape)
+    The worker process's group is sent first, and the groups' gradients
+    are added in frame-count order wherever they were made. Consumes every
+    trace (backward_batch): pass groups on only as previous."""
+    def summed(rows, index):
+        g = np.zeros((max(index) + 1, grad_out.shape[1]))
         np.add.at(g, index, grad_out[rows])
-        add_grads(total, backward_batch(params, trace, g))
+        return g
+
+    remote = {n: worker().submit(_worker_backward, summed(rows, index))
+              for n, (rows, index, trace) in groups.items() if trace is None}
+    parts = {n: backward_batch(params, trace, summed(rows, index))
+             for n, (rows, index, trace) in groups.items() if trace is not None}
+    parts.update((n, future.result()) for n, future in remote.items())
+    total = zero_grads(params)
+    for n_frames in sorted(parts):
+        add_grads(total, parts[n_frames])
     return total
 
 
@@ -524,16 +574,21 @@ def _train(params, batches, objective, lr, clip, config: RunConfig,
     lines = ["iteration,loss"]
     cache, featurize = {}, _features(config)  # one mel per utterance_id
     groups = None  # the last step's consumed traces, overwritten by the next step's
-    for iteration, batch in enumerate(batches):
-        cache_features(batch, cache, featurize)
-        try:
-            embeddings, groups = _grouped_forward(
-                params, [mel_for(u, cache) for u in batch], groups)
-            loss, grad_out = objective(embeddings)
-            params = sgd_step(params, _grouped_backward(params, groups, grad_out), lr, clip)
-        except NumericError as exc:
-            raise NumericError(f"{stage} diverged at iteration {iteration}: {exc}") from exc
-        lines.append(f"{iteration},{repr(float(loss))}")
+    try:
+        for iteration, batch in enumerate(batches):
+            cache_features(batch, cache, featurize)
+            try:
+                embeddings, groups = _grouped_forward(
+                    params, [mel_for(u, cache) for u in batch], groups)
+                loss, grad_out = objective(embeddings)
+                params = sgd_step(params, _grouped_backward(params, groups, grad_out),
+                                  lr, clip)
+            except NumericError as exc:
+                raise NumericError(f"{stage} diverged at iteration {iteration}: {exc}") from exc
+            lines.append(f"{iteration},{repr(float(loss))}")
+    finally:
+        if worker(start=False):  # the worker process keeps its trace for the stage only
+            worker().submit(_worker_release)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{stage}_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

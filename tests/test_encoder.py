@@ -552,6 +552,21 @@ class TestTraceReuse:
         with pytest.raises(ShapeError, match="out traced"):
             forward_batch(params, np.zeros(shape), out=old)
 
+    @pytest.mark.parametrize("changed", [{"hidden_dim": 16}, {"n_layers": 3},
+                                         {"n_layers": 1}])
+    def test_trace_of_another_encoder_shape_rejected_unwritten(self, changed):
+        """A 2-layer H32 trace lent to an encoder of another depth or width
+        (one layer would otherwise keep a stale second layer)."""
+        stack = np.random.default_rng(5).normal(size=(3, 4, 20))
+        old = forward_batch(init_params(EncoderConfig()), stack)
+        before = {name: [a.copy() for a in getattr(old, name)] for name in self.BUFFERS}
+        params = init_params(EncoderConfig(**changed))
+        with pytest.raises(ShapeError, match="another encoder shape"):
+            forward_batch(params, stack, out=old)
+        for name, arrays in before.items():
+            for got, want in zip(getattr(old, name), arrays, strict=True):
+                assert got.tobytes() == want.tobytes(), name
+
 
 class TestKeepLevels:
     """The training pass (keep=True), the inference pass (keep=False) and

@@ -1,10 +1,17 @@
 """pmap: the shared worker pool behaves as a serial loop would."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dsrkit
 from dsrkit.parallel import pmap
+
+SRC = Path(dsrkit.__file__).parents[1]
 
 
 def test_results_in_input_order():
@@ -31,3 +38,13 @@ def test_first_failing_item_raises():
         pmap(fail, range(8))
     # Every other item has finished by the time the error comes out.
     assert sorted(done) == [0, 1, 2, 4, 6, 7]
+
+
+def test_import_starts_no_process():
+    # Commands that never train pay for no process, and no import time for it.
+    code = ("import sys, dsrkit.cli, dsrkit.pipeline, multiprocessing.process as p; "
+            "print(len(p._children), 'concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.split() == ["0", "False"]

@@ -4,16 +4,23 @@ import collections
 import configparser
 import csv
 import dataclasses
+import itertools
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fail_forward
 from hypothesis import given, settings, strategies as st
 
+import dsrkit.parallel
 import dsrkit.pipeline
 from dsrkit.audio import (
     AudioBuffer,
@@ -897,9 +904,10 @@ def wav_reads(monkeypatch):
 
 
 @pytest.fixture
-def loop_calls(monkeypatch):
-    """Counts the training loop's calls, as the pipeline looks the names up;
-    "batches" counts next() on the generator iter_batches returns."""
+def loop_calls(monkeypatch, worker_encoder_calls):
+    """A function returning the training loop's calls so far, as the
+    pipeline looks the names up, plus the encoder calls of the worker
+    process; "batches" counts next() on the generator iter_batches returns."""
     counts = collections.Counter()
 
     def counting(name):
@@ -921,7 +929,11 @@ def loop_calls(monkeypatch):
             yield batch
 
     monkeypatch.setattr(dsrkit.pipeline, "iter_batches", counting_batches)
-    return counts
+
+    def counted():
+        counts.update(name for name, _ in worker_encoder_calls())
+        return counts
+    return counted
 
 
 class TestTrainingLoop:
@@ -934,7 +946,7 @@ class TestTrainingLoop:
         config = RunConfig(**{**vars(TINY), "ge2e_iterations": iterations})
         pretrain_ge2e(manifest, config, tmp_path / "pre")
         # GE2E utterances share one length: one forward and backward per step.
-        assert loop_calls == collections.Counter(
+        assert loop_calls() == collections.Counter(
             sgd_step=iterations, forward_batch=iterations, backward_batch=iterations)
 
     @pytest.mark.parametrize("iterations", [0, 4])
@@ -943,8 +955,9 @@ class TestTrainingLoop:
         # Four batches cross the first epoch's three (12 utterances, 4 each).
         config = RunConfig(**{**vars(TINY), "triplet_iterations": iterations})
         finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
-        # Anchors and negatives share one length, tempo positives another.
-        assert loop_calls == collections.Counter(
+        # Anchors and negatives share one length, tempo positives another;
+        # one of the two may be encoded in the worker process.
+        assert loop_calls() == collections.Counter(
             batches=iterations, sgd_step=iterations,
             forward_batch=2 * iterations, backward_batch=2 * iterations)
 
@@ -967,25 +980,35 @@ class TestTrainingLoop:
     def test_finetune_keeps_one_iteration_of_traces(self, pretrained, tiny_corpus,
                                                     tmp_path):
         """With every utterance in each batch the stack shapes repeat, so
-        later steps write into the first step's traces: four iterations
-        peak where one does."""
+        later steps write into the first step's traces, here and in the
+        worker process alike: four iterations peak where one does."""
         manifest, ckpt = pretrained
+        # The worker's own tracemalloc, called by name in the worker.
+        proc = dsrkit.parallel.worker()
+        in_worker = (lambda fn: proc.submit(fn).result()) if proc else lambda fn: (0, 0)
         peaks = {}
         for iterations in (1, 4):
             config = RunConfig(**{**vars(TINY), "batch_size": len(tiny_corpus[1]),
                                   "triplet_iterations": iterations})
             tracemalloc.start()
+            in_worker(tracemalloc.start)
             try:
                 finetune_triplet(manifest, ckpt, config, tmp_path / f"ft{iterations}")
-                peaks[iterations] = tracemalloc.get_traced_memory()[1]
+                peaks[iterations] = (tracemalloc.get_traced_memory()[1],
+                                     in_worker(tracemalloc.get_traced_memory)[1])
             finally:
                 tracemalloc.stop()
-        # One iteration's traces take about 6 MB here.
-        assert peaks[4] - peaks[1] < 500_000, peaks
+                in_worker(tracemalloc.stop)
+        # One iteration's traces take about 6 MB here, about 3 MB in each
+        # process when there are two; each process also holds one step's
+        # messages to the other, about 300 KB, at times that vary.
+        for here, there in zip(peaks[1], peaks[4]):
+            assert there - here < 500_000, peaks
 
     def test_finetune_encodes_each_distinct_utterance_once(self, pretrained,
                                                            tiny_corpus, tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           worker_encoder_calls):
         manifest, ckpt = pretrained
         # One batch holds every utterance, so each male anchor's
         # cross-speaker negative is also one of the batch's anchors.
@@ -1009,6 +1032,11 @@ class TestTrainingLoop:
         monkeypatch.setattr(dsrkit.pipeline, "iter_batches", recording_batches)
         monkeypatch.setattr(dsrkit.pipeline, "forward_batch", counting_forward)
         finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        # Each step has two length groups, so the worker process, if there
+        # is one, encodes one group of each step.
+        remote = [b for name, (b, _) in worker_encoder_calls() if name == "forward_batch"]
+        forwarded = [here + there for here, there
+                     in itertools.zip_longest(forwarded, remote, fillvalue=0)]
         # 12 anchors, 12 tempo positives, 6 female pitch-shifted negatives.
         assert forwarded == distinct == [30] * 3
 
@@ -1074,6 +1102,98 @@ class TestGroupedEncoding:
         # With every row dead the bound is 0: the gradients must be exact zeros.
         for name, want in expected.items():
             assert np.max(np.abs(grads[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.fixture
+def no_worker():
+    """No worker process is running; the next training step forks one."""
+    dsrkit.parallel.shutdown()
+    yield
+    dsrkit.parallel.shutdown()
+
+
+def needs_worker():
+    if dsrkit.parallel.worker() is None:
+        pytest.skip("a process that may run on one CPU has no worker process")
+
+
+class TestWorkerProcess:
+    """A training step's longest group is encoded in the worker process,
+    which changes no bit and leaves nothing running."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_in_process_encoding(self, data):
+        needs_worker()
+        params = init_params(TINY.encoder_config())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lengths = st.lists(st.sampled_from([48, 98, 198]), min_size=1, max_size=5)
+        # Two steps, the second lent the first's traces, as in training.
+        steps = []
+        for _ in range(2):
+            distinct = [MelFrames(rng.normal(size=(n, TINY.n_mels)))
+                        for n in data.draw(lengths)]
+            mels = [distinct[p] for p in data.draw(
+                st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10))]
+            grad_out = rng.normal(size=(len(mels), TINY.embed_dim))
+            grad_out[data.draw(st.lists(st.booleans(), min_size=len(mels),
+                                        max_size=len(mels)))] = 0.0
+            steps.append((mels, grad_out))
+        results = {}
+        for side in ("worker", "here"):
+            groups, results[side] = None, []
+            with pytest.MonkeyPatch.context() as patch:
+                if side == "here":
+                    patch.setattr(dsrkit.pipeline, "worker", lambda start=True: None)
+                for mels, grad_out in steps:
+                    embeddings, groups = _grouped_forward(params, mels, groups)
+                    remote = [trace is None for _, _, trace in groups.values()]
+                    assert sum(remote) == (side == "worker" and len(groups) > 1)
+                    grads = _grouped_backward(params, groups, grad_out)
+                    results[side].append([embeddings.tobytes()]
+                                         + [g.tobytes() for g in grads.values()])
+        assert results["worker"] == results["here"]
+
+    def test_divergence_in_worker_names_the_iteration(self, pretrained, tmp_path):
+        needs_worker()
+        manifest, ckpt = pretrained
+        proc = dsrkit.parallel.worker()
+        proc.submit(fail_forward, 1).result()
+        try:
+            with pytest.raises(NumericError, match=r"^finetune diverged at iteration 1: "
+                                                   r"injected in the worker process$"):
+                finetune_triplet(manifest, ckpt, TINY, tmp_path / "ft")
+        finally:
+            proc.submit(fail_forward, None).result()
+        assert not (tmp_path / "ft").exists()
+
+    def test_pretrain_and_evaluate_start_no_process(self, tiny_corpus, pretrained,
+                                                    tmp_path, no_worker):
+        manifest, _ = tiny_corpus
+        _, ckpt = pretrained
+        pretrain_ge2e(manifest, TINY, tmp_path / "pre")
+        evaluate(manifest, ckpt, TINY, tmp_path / "ev")
+        assert multiprocessing.active_children() == []
+        assert dsrkit.parallel.worker(start=False) is None
+
+    def test_command_exits_with_no_process_left(self, pretrained, tmp_path):
+        manifest, ckpt = pretrained
+        code = (
+            "import os, dsrkit.parallel\n"
+            "from dsrkit.pipeline import RunConfig, finetune_triplet\n"
+            f"finetune_triplet({str(manifest)!r}, {str(ckpt)!r}, RunConfig(**{vars(TINY)!r}), "
+            f"{str(tmp_path / 'ft')!r})\n"
+            "proc = dsrkit.parallel.worker(start=False)\n"
+            "print(proc.submit(os.getpid).result() if proc else '')\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(dsrkit.pipeline.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300, check=True)
+        assert (tmp_path / "ft" / "finetuned.ckpt").is_file()
+        pid = done.stdout.strip()
+        if pid:
+            assert not Path(f"/proc/{pid}").exists()
+        assert "Exception ignored" not in done.stderr and "weakref_cb" not in done.stderr, \
+            done.stderr
 
 
 class TestDecodeOnce:
