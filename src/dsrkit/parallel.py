@@ -52,9 +52,8 @@ def worker(start=True):
 
 def shutdown():
     """Stop the worker process and wait for it to exit; the next
-    ``worker()`` forks a new one. Registered to run at exit, before the
-    executor would be collected: collecting a running one at interpreter
-    teardown prints an ignored exception."""
+    ``worker()`` forks a new one. Registered to run at exit, so the worker
+    has exited before interpreter teardown collects the executor."""
     global _WORKER
     if _WORKER is not None:
         atexit.unregister(shutdown)
