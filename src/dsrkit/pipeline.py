@@ -10,6 +10,7 @@ config so reruns can be checked byte for byte.
 
 import json
 import math
+from concurrent.futures import BrokenExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
@@ -40,6 +41,7 @@ from .encoder import (
     zero_grads,
 )
 from .errors import (
+    DsrkitError,
     EmptyInputError,
     FormatError,
     InsufficientBatchError,
@@ -440,100 +442,96 @@ def mel_for(utt: Utterance, cache: dict):
                           f"cache_features makes them before it is encoded") from None
 
 
-# In the worker process: the training trace of the group it encoded last,
-# lent to its next forward pass of the same stack shape and encoder config,
-# and the params its backward pass takes.
-_IN_WORKER = {}
+def _lend(kept, params, frames, forward):
+    """The training forward passes, with forward, of a step's groups in
+    one process, each the stack of its frames ({frame count: distinct
+    frame arrays}), in frame-count order; returns {frame count:
+    embeddings}. kept is that process's {frame count: (params, trace)},
+    refilled for the backward passes: the trace that the same frame count
+    and stack shape left there is lent to its pass (forward_batch's out),
+    and every other is dropped before any stack or trace is allocated, so
+    the process holds one step's traces."""
+    lent = {n: trace for n, (_, trace) in kept.items()
+            if n in frames and trace.stack.shape == (len(frames[n]),) + frames[n][0].shape}
+    kept.clear()
+    for n in sorted(frames):
+        kept[n] = params, forward(params, np.stack(frames[n]), out=lent.pop(n, None))
+    return {n: trace.embeddings for n, (_, trace) in kept.items()}
 
 
-def _worker_forward(params, stack):
+# The worker process's kept traces (`_lend`), which die with it.
+_KEPT = {}
+
+
+def _worker_forward(params, n_frames, frames):
     """forward_batch in the worker process. It is looked up in
     dsrkit.encoder, so no patch of dsrkit.pipeline's names (a tracer, a
-    test) inherited by the fork reaches it. A kept trace that cannot be
-    lent is dropped before the new one is allocated."""
-    shape = (stack.shape, params.config)
-    trace = _IN_WORKER.pop("trace", None) if _IN_WORKER.get("shape") == shape else None
-    _IN_WORKER.clear()
-    trace = encoder.forward_batch(params, stack, out=trace)
-    _IN_WORKER.update(shape=shape, trace=trace, params=params)
-    return trace.embeddings
+    test) inherited by the fork reaches it."""
+    return _lend(_KEPT, params, {n_frames: frames}, encoder.forward_batch)[n_frames]
 
 
-def _worker_backward(grad_out):
-    return encoder.backward_batch(_IN_WORKER.pop("params"), _IN_WORKER["trace"], grad_out)
+def _worker_backward(n_frames, grad_out):
+    return encoder.backward_batch(*_KEPT[n_frames], grad_out)
 
 
-def _worker_release():
-    _IN_WORKER.clear()
-
-
-def _grouped_forward(params, mels, previous=None, keep=True):
+def _grouped_forward(params, mels, kept=None, stage_worker=None):
     """Encode a mixed-length list by grouping equal frame counts, each
     distinct mel object once (mel_for returns one object per utterance).
 
     Returns (embeddings row-aligned with mels, groups) where groups maps
-    frame count -> (row indices, encoded index of each row, trace) for the
-    matching backward pass; with keep=False the traces keep only their
-    outputs and no backward pass can follow. previous, the groups of an
-    earlier call, is emptied: a trace whose stack shape recurs is
-    overwritten in place, and every other is dropped before any new trace
-    is allocated, so a caller that passes its last groups holds one call's
-    traces at a time.
+    frame count -> (row indices, encoded index of each row, the worker
+    process that encoded the group or None) for the matching backward
+    pass. Without kept this is an inference pass and no backward pass can
+    follow; a training pass keeps its traces in kept (`_lend`).
 
-    A training call (keep=True) with several groups sends the one with the
-    most frames (rows x frames) to the worker process, when there is one,
-    and encodes the others meanwhile. That group's trace is None here: the
-    worker keeps it, for the backward pass and the next call, and it runs
-    the same forward_batch on the same stack, so no bit moves.
+    A training pass with several groups sends the one with the most frames
+    (rows x frames) to the worker process, when stage_worker (the getter
+    `parallel.worker` yields) returns one, and encodes the others
+    meanwhile. The worker keeps that group's trace, and runs the same
+    forward_batch on the same stack, so no bit moves.
     """
     by_len = {}
     for row, m in enumerate(mels):
         by_len.setdefault(m.frames.shape[0], []).append(row)
-    plan = {}
+    plan, frames = {}, {}
     for n_frames, rows in by_len.items():
         distinct = {}  # id of each distinct mel -> (its row in the stack, mel)
-        index = [distinct.setdefault(id(mels[r]), (len(distinct), mels[r]))[0]
-                 for r in rows]
-        plan[n_frames] = (rows, index, [m.frames for _, m in distinct.values()])
-    shapes = {n: (len(frames),) + frames[0].shape for n, (_, _, frames) in plan.items()}
-    reusable = {n: trace for n, (_, _, trace) in (previous or {}).items()
-                if trace is not None and trace.stack.shape == shapes.get(n)}
-    if previous:
-        previous.clear()
+        plan[n_frames] = (rows, [distinct.setdefault(id(mels[r]), (len(distinct), mels[r]))[0]
+                                 for r in rows])
+        frames[n_frames] = [m.frames for _, m in distinct.values()]
+    proc = stage_worker() if stage_worker and len(plan) > 1 else None
+    far = max(plan, key=lambda n: n * len(frames[n])) if proc else None
+    if proc:
+        remote = proc.submit(_worker_forward, params, far, frames.pop(far))
+    if kept is None:
+        encoded = {n: forward_batch(params, np.stack(frames[n]), keep=False).embeddings
+                   for n in sorted(frames)}
+    else:
+        encoded = _lend(kept, params, frames, forward_batch)
+    if proc:
+        encoded[far] = remote.result()
     embeddings = np.empty((len(mels), params.config.embed_dim))
-    groups = {}
-    far = None
-    if keep and len(plan) > 1 and worker():
-        far = max(plan, key=lambda n: n * len(plan[n][2]))
-        remote = worker().submit(_worker_forward, params, np.stack(plan[far][2]))
-    for n_frames in sorted(plan):
-        rows, index, frames = plan[n_frames]
-        if n_frames == far:
-            embeddings[rows] = remote.result()[index]
-            groups[n_frames] = (rows, index, None)
-            continue
-        trace = forward_batch(params, np.stack(frames), out=reusable.pop(n_frames, None),
-                              keep=keep)
-        embeddings[rows] = trace.embeddings[index]
-        groups[n_frames] = (rows, index, trace)
-    return embeddings, groups
+    for n_frames, (rows, index) in plan.items():
+        embeddings[rows] = encoded[n_frames][index]
+    return embeddings, {n: (rows, index, proc if n == far else None)
+                        for n, (rows, index) in plan.items()}
 
 
-def _grouped_backward(params, groups, grad_out):
+def _grouped_backward(params, groups, grad_out, kept):
     """Parameter gradients of sum_row grad_out[row] . embedding[row]; a
     repeated mel's rows are summed, in row order, into its encoded row.
     The worker process's group is sent first, and the groups' gradients
-    are added in frame-count order wherever they were made. Consumes every
-    trace (backward_batch): pass groups on only as previous."""
+    are added in frame-count order wherever they were made. Consumes the
+    traces in kept, which lend their memory to the next training pass."""
     def summed(rows, index):
         g = np.zeros((max(index) + 1, grad_out.shape[1]))
         np.add.at(g, index, grad_out[rows])
         return g
 
-    remote = {n: worker().submit(_worker_backward, summed(rows, index))
-              for n, (rows, index, trace) in groups.items() if trace is None}
-    parts = {n: backward_batch(params, trace, summed(rows, index))
-             for n, (rows, index, trace) in groups.items() if trace is not None}
+    remote = {n: proc.submit(_worker_backward, n, summed(rows, index))
+              for n, (rows, index, proc) in groups.items() if proc}
+    parts = {n: backward_batch(*kept[n], summed(rows, index))
+             for n, (rows, index, proc) in groups.items() if not proc}
     parts.update((n, future.result()) for n, future in remote.items())
     total = zero_grads(params)
     for n_frames in sorted(parts):
@@ -544,7 +542,7 @@ def _grouped_backward(params, groups, grad_out):
 def embed_utterances(params, utterances, config: RunConfig, cache: dict):
     cache_features(utterances, cache, _features(config))
     mels = [mel_for(u, cache) for u in utterances]
-    embeddings, _ = _grouped_forward(params, mels, keep=False)
+    embeddings, _ = _grouped_forward(params, mels)
     return embeddings
 
 
@@ -573,22 +571,21 @@ def _train(params, batches, objective, lr, clip, config: RunConfig,
     out_dir is created after the last step: a stage that fails leaves none."""
     lines = ["iteration,loss"]
     cache, featurize = {}, _features(config)  # one mel per utterance_id
-    groups = None  # the last step's consumed traces, overwritten by the next step's
-    try:
+    kept = {}  # this process's training traces, lent from step to step (`_lend`)
+    with worker() as stage_worker:
         for iteration, batch in enumerate(batches):
             cache_features(batch, cache, featurize)
             try:
                 embeddings, groups = _grouped_forward(
-                    params, [mel_for(u, cache) for u in batch], groups)
+                    params, [mel_for(u, cache) for u in batch], kept, stage_worker)
                 loss, grad_out = objective(embeddings)
-                params = sgd_step(params, _grouped_backward(params, groups, grad_out),
-                                  lr, clip)
+                grads = _grouped_backward(params, groups, grad_out, kept)
+                params = sgd_step(params, grads, lr, clip)
             except NumericError as exc:
                 raise NumericError(f"{stage} diverged at iteration {iteration}: {exc}") from exc
+            except BrokenExecutor as exc:
+                raise DsrkitError(f"{stage}: worker process died at iteration {iteration}") from exc
             lines.append(f"{iteration},{repr(float(loss))}")
-    finally:
-        if worker(start=False):  # the worker process keeps its trace for the stage only
-            worker().submit(_worker_release)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{stage}_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

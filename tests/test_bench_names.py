@@ -52,10 +52,10 @@ def encoder_counts(stats):
 
 
 def worker_counts(calls):
-    """encoder_counts' figures of the (name, (B, T)) encoder calls the
-    worker process made, which no tracer in this process sees."""
+    """encoder_counts' figures of the (name, (B, T), peak) encoder calls
+    the worker processes made, which no tracer in this process sees."""
     stats = collections.Counter()
-    for name, (b, t) in calls:
+    for name, (b, t), _ in calls:
         stats.update({f"encoder.{name}.calls": 1, f"encoder.{name}.seqs": b,
                       f"encoder.{name}.frames": b * t, f"encoder.{name}.B{b}xT{t}.calls": 1})
     return stats

@@ -2,6 +2,7 @@
 
 import collections
 import configparser
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -9,15 +10,16 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fail_forward
 from hypothesis import given, settings, strategies as st
 
 import dsrkit.parallel
@@ -931,7 +933,7 @@ def loop_calls(monkeypatch, worker_encoder_calls):
     monkeypatch.setattr(dsrkit.pipeline, "iter_batches", counting_batches)
 
     def counted():
-        counts.update(name for name, _ in worker_encoder_calls())
+        counts.update(name for name, _, _ in worker_encoder_calls())
         return counts
     return counted
 
@@ -978,27 +980,24 @@ class TestTrainingLoop:
         assert len(calls) == 4, calls
 
     def test_finetune_keeps_one_iteration_of_traces(self, pretrained, tiny_corpus,
-                                                    tmp_path):
+                                                    tmp_path, worker_encoder_calls):
         """With every utterance in each batch the stack shapes repeat, so
         later steps write into the first step's traces, here and in the
         worker process alike: four iterations peak where one does."""
         manifest, ckpt = pretrained
-        # The worker's own tracemalloc, called by name in the worker.
-        proc = dsrkit.parallel.worker()
-        in_worker = (lambda fn: proc.submit(fn).result()) if proc else lambda fn: (0, 0)
         peaks = {}
         for iterations in (1, 4):
             config = RunConfig(**{**vars(TINY), "batch_size": len(tiny_corpus[1]),
                                   "triplet_iterations": iterations})
+            # The worker is forked tracing, and reports its own peak.
             tracemalloc.start()
-            in_worker(tracemalloc.start)
             try:
                 finetune_triplet(manifest, ckpt, config, tmp_path / f"ft{iterations}")
                 peaks[iterations] = (tracemalloc.get_traced_memory()[1],
-                                     in_worker(tracemalloc.get_traced_memory)[1])
+                                     max((peak for _, _, peak in worker_encoder_calls()),
+                                         default=0))
             finally:
                 tracemalloc.stop()
-                in_worker(tracemalloc.stop)
         # One iteration's traces take about 6 MB here, about 3 MB in each
         # process when there are two; each process also holds one step's
         # messages to the other, about 300 KB, at times that vary.
@@ -1034,7 +1033,7 @@ class TestTrainingLoop:
         finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
         # Each step has two length groups, so the worker process, if there
         # is one, encodes one group of each step.
-        remote = [b for name, (b, _) in worker_encoder_calls() if name == "forward_batch"]
+        remote = [b for name, (b, _), _ in worker_encoder_calls() if name == "forward_batch"]
         forwarded = [here + there for here, there
                      in itertools.zip_longest(forwarded, remote, fillvalue=0)]
         # 12 anchors, 12 tempo positives, 6 female pitch-shifted negatives.
@@ -1091,8 +1090,9 @@ class TestGroupedEncoding:
                                    st.lists(st.booleans(), min_size=len(mels),
                                             max_size=len(mels))))
         grad_out[dead] = 0.0
-        embeddings, groups = _grouped_forward(params, mels)
-        grads = _grouped_backward(params, groups, grad_out)
+        kept = {}
+        embeddings, groups = _grouped_forward(params, mels, kept)
+        grads = _grouped_backward(params, groups, grad_out, kept)
         expected = zero_grads(params)
         for row, (m, g) in enumerate(zip(mels, grad_out)):
             trace = forward_batch(params, m.frames[None])
@@ -1104,22 +1104,50 @@ class TestGroupedEncoding:
             assert np.max(np.abs(grads[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-@pytest.fixture
-def no_worker():
-    """No worker process is running; the next training step forks one."""
-    dsrkit.parallel.shutdown()
-    yield
-    dsrkit.parallel.shutdown()
-
-
 def needs_worker():
-    if dsrkit.parallel.worker() is None:
-        pytest.skip("a process that may run on one CPU has no worker process")
+    with dsrkit.parallel.worker() as stage_worker:
+        if stage_worker() is None:
+            pytest.skip("a process that may run on one CPU has no worker process")
+
+
+def injected():
+    raise NumericError("injected in the worker process")
+
+
+def finetune_command(manifest, ckpt, out, iterations):
+    """`python -c` code that fine-tunes on the tiny corpus, its worker
+    process writing "worker <pid>" to stdout at its first encoder call, and
+    then prints the number of child processes left."""
+    config = {**vars(TINY), "triplet_iterations": iterations}
+    return (
+        "import multiprocessing, os, dsrkit.encoder\n"
+        "from dsrkit.pipeline import RunConfig, finetune_triplet\n"
+        "forward, told = dsrkit.encoder.forward_batch, []\n"
+        "def announcing(*args, **kwargs):\n"
+        "    if not told:\n"
+        "        told.append(os.write(1, b'worker %d\\n' % os.getpid()))\n"
+        "    return forward(*args, **kwargs)\n"
+        "dsrkit.encoder.forward_batch = announcing\n"
+        f"finetune_triplet({str(manifest)!r}, {str(ckpt)!r}, RunConfig(**{config!r}), "
+        f"{str(out)!r})\n"
+        "print(len(multiprocessing.active_children()))\n")
+
+
+def python_env():
+    return {**os.environ, "PYTHONPATH": str(Path(dsrkit.pipeline.__file__).parents[1])}
+
+
+def assert_gone(pid):
+    """pid exits, and is reaped, within a few seconds."""
+    deadline = time.monotonic() + 5
+    while Path(f"/proc/{pid}").exists() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not Path(f"/proc/{pid}").exists(), pid
 
 
 class TestWorkerProcess:
     """A training step's longest group is encoded in the worker process,
-    which changes no bit and leaves nothing running."""
+    which changes no bit and lives for its stage alone."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -1141,59 +1169,131 @@ class TestWorkerProcess:
             steps.append((mels, grad_out))
         results = {}
         for side in ("worker", "here"):
-            groups, results[side] = None, []
-            with pytest.MonkeyPatch.context() as patch:
-                if side == "here":
-                    patch.setattr(dsrkit.pipeline, "worker", lambda start=True: None)
+            kept, results[side] = {}, []
+            with dsrkit.parallel.worker() as stage_worker:
                 for mels, grad_out in steps:
-                    embeddings, groups = _grouped_forward(params, mels, groups)
-                    remote = [trace is None for _, _, trace in groups.values()]
+                    embeddings, groups = _grouped_forward(
+                        params, mels, kept, stage_worker if side == "worker" else None)
+                    remote = [proc is not None for _, _, proc in groups.values()]
                     assert sum(remote) == (side == "worker" and len(groups) > 1)
-                    grads = _grouped_backward(params, groups, grad_out)
+                    grads = _grouped_backward(params, groups, grad_out, kept)
                     results[side].append([embeddings.tobytes()]
                                          + [g.tobytes() for g in grads.values()])
         assert results["worker"] == results["here"]
 
-    def test_divergence_in_worker_names_the_iteration(self, pretrained, tmp_path):
+    def test_divergence_in_worker_names_the_iteration(self, pretrained, tmp_path,
+                                                      worker_forward_fails):
         needs_worker()
         manifest, ckpt = pretrained
-        proc = dsrkit.parallel.worker()
-        proc.submit(fail_forward, 1).result()
-        try:
-            with pytest.raises(NumericError, match=r"^finetune diverged at iteration 1: "
-                                                   r"injected in the worker process$"):
-                finetune_triplet(manifest, ckpt, TINY, tmp_path / "ft")
-        finally:
-            proc.submit(fail_forward, None).result()
+        worker_forward_fails(1, injected)
+        with pytest.raises(NumericError, match=r"^finetune diverged at iteration 1: "
+                                               r"injected in the worker process$"):
+            finetune_triplet(manifest, ckpt, TINY, tmp_path / "ft")
         assert not (tmp_path / "ft").exists()
 
+    def test_dead_worker_fails_its_stage_alone(self, pretrained, tmp_path, capsys,
+                                               monkeypatch, worker_forward_fails):
+        """A worker process that dies mid-stage fails that stage with one
+        error line and no output; the next stage forks a worker of its own."""
+        needs_worker()
+        manifest, ckpt = pretrained
+        ini = tmp_path / "ft.ini"
+        ini.write_text("[triplet]\nbatch_size = 4\niterations = 2\n", encoding="utf-8")
+
+        def finetune(out):
+            return main(["finetune", "--config", str(ini), "--manifest", str(manifest),
+                         "--checkpoint", str(ckpt), "--out", str(tmp_path / out)])
+
+        assert finetune("clean") == 0
+        worker_forward_fails(1, lambda: os._exit(1))
+        capsys.readouterr()
+        assert finetune("dead") == 1
+        err = capsys.readouterr().err
+        assert err == "error: finetune: worker process died at iteration 1\n", err
+        assert not (tmp_path / "dead").exists()
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert finetune("again") == 0
+        assert ((tmp_path / "again" / "finetuned.ckpt").read_bytes()
+                == (tmp_path / "clean" / "finetuned.ckpt").read_bytes())
+
     def test_pretrain_and_evaluate_start_no_process(self, tiny_corpus, pretrained,
-                                                    tmp_path, no_worker):
+                                                    tmp_path, monkeypatch):
         manifest, _ = tiny_corpus
         _, ckpt = pretrained
+        asked = []
+        stage_scoped = dsrkit.pipeline.worker
+
+        @contextlib.contextmanager
+        def recording():
+            with stage_scoped() as stage_worker:
+                yield lambda: asked.append(None) or stage_worker()
+
+        monkeypatch.setattr(dsrkit.pipeline, "worker", recording)
         pretrain_ge2e(manifest, TINY, tmp_path / "pre")
         evaluate(manifest, ckpt, TINY, tmp_path / "ev")
+        # GE2E batches have one length group, and inference sends none.
+        assert asked == []
         assert multiprocessing.active_children() == []
-        assert dsrkit.parallel.worker(start=False) is None
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune", "evaluate", "failed finetune"])
+    def test_no_process_outlives_a_stage(self, pretrained, tmp_path, monkeypatch, stage):
+        manifest, ckpt = pretrained
+        if stage == "pretrain":
+            pretrain_ge2e(manifest, TINY, tmp_path / "out")
+        elif stage == "evaluate":
+            evaluate(manifest, ckpt, TINY, tmp_path / "out")
+        elif stage == "finetune":
+            finetune_triplet(manifest, ckpt, TINY, tmp_path / "out")
+        else:
+            # The second step's objective fails, after the first forked the worker.
+            losses = []
+            triplet_loss = dsrkit.pipeline.triplet_loss
+
+            def failing(*args):
+                losses.append(None)
+                if len(losses) > 1:
+                    raise NumericError("injected")
+                return triplet_loss(*args)
+
+            monkeypatch.setattr(dsrkit.pipeline, "triplet_loss", failing)
+            with pytest.raises(NumericError, match="^finetune diverged at iteration 1"):
+                finetune_triplet(manifest, ckpt, TINY, tmp_path / "out")
+        assert multiprocessing.active_children() == []
 
     def test_command_exits_with_no_process_left(self, pretrained, tmp_path):
         manifest, ckpt = pretrained
-        code = (
-            "import os, dsrkit.parallel\n"
-            "from dsrkit.pipeline import RunConfig, finetune_triplet\n"
-            f"finetune_triplet({str(manifest)!r}, {str(ckpt)!r}, RunConfig(**{vars(TINY)!r}), "
-            f"{str(tmp_path / 'ft')!r})\n"
-            "proc = dsrkit.parallel.worker(start=False)\n"
-            "print(proc.submit(os.getpid).result() if proc else '')\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(dsrkit.pipeline.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=300, check=True)
+        done = subprocess.run(
+            [sys.executable, "-c", finetune_command(manifest, ckpt, tmp_path / "ft",
+                                                    TINY.triplet_iterations)],
+            capture_output=True, text=True, env=python_env(), timeout=300, check=True)
         assert (tmp_path / "ft" / "finetuned.ckpt").is_file()
-        pid = done.stdout.strip()
-        if pid:
-            assert not Path(f"/proc/{pid}").exists()
+        *workers, children = done.stdout.split("\n")[:-1]
+        assert children == "0"
+        for line in workers:
+            assert_gone(int(line.removeprefix("worker ")))
         assert "Exception ignored" not in done.stderr and "weakref_cb" not in done.stderr, \
             done.stderr
+
+    def test_ctrl_c_ends_the_command_and_its_worker(self, pretrained, tmp_path):
+        needs_worker()
+        manifest, ckpt = pretrained
+        command = subprocess.Popen(
+            [sys.executable, "-c", finetune_command(manifest, ckpt, tmp_path / "ft", 10**6)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=python_env())
+        try:
+            line = command.stdout.readline()  # once the worker is encoding
+            assert line.startswith("worker "), command.communicate(timeout=60)
+            command.send_signal(signal.SIGINT)
+            _, err = command.communicate(timeout=10)
+        finally:
+            command.kill()
+            command.wait()
+        assert command.returncode == -signal.SIGINT, err
+        assert err.rstrip().endswith("KeyboardInterrupt"), err
+        assert "ForkProcess" not in err, err
+        assert_gone(int(line.removeprefix("worker ")))
+        assert not (tmp_path / "ft").exists()
 
 
 class TestDecodeOnce:
