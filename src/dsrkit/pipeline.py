@@ -10,7 +10,6 @@ config so reruns can be checked byte for byte.
 
 import json
 import math
-from concurrent.futures import BrokenExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
@@ -459,14 +458,19 @@ def _lend(kept, params, frames, forward):
     return {n: trace.embeddings for n, (_, trace) in kept.items()}
 
 
-# The worker process's kept traces (`_lend`), which die with it.
-_KEPT = {}
+# The worker process's kept traces (`_lend`), and the frames of its last
+# forward request by utterance_id; both die with it.
+_KEPT, _FRAMES = {}, {}
 
 
-def _worker_forward(params, n_frames, frames):
-    """forward_batch in the worker process. It is looked up in
-    dsrkit.encoder, so no patch of dsrkit.pipeline's names (a tracer, a
-    test) inherited by the fork reaches it."""
+def _worker_forward(params, n_frames, ids, sent):
+    """forward_batch in the worker process on the stack of ids' frames:
+    those in sent ({id: frames}) and, for the others, the last request's.
+    It is looked up in dsrkit.encoder, so no patch of dsrkit.pipeline's
+    names (a tracer, a test) inherited by the fork reaches it."""
+    frames = [sent[i] if i in sent else _FRAMES[i] for i in ids]
+    _FRAMES.clear()
+    _FRAMES.update(zip(ids, frames))
     return _lend(_KEPT, params, {n_frames: frames}, encoder.forward_batch)[n_frames]
 
 
@@ -474,9 +478,10 @@ def _worker_backward(n_frames, grad_out):
     return encoder.backward_batch(*_KEPT[n_frames], grad_out)
 
 
-def _grouped_forward(params, mels, kept=None, stage_worker=None):
-    """Encode a mixed-length list by grouping equal frame counts, each
-    distinct mel object once (mel_for returns one object per utterance).
+def _grouped_forward(params, ids, mels, kept=None, stage_worker=None):
+    """Encode a mixed-length list of mels by grouping equal frame counts,
+    each distinct one once; ids, row-aligned with mels, are their
+    utterance_ids, which name one mel each (`mel_for`).
 
     Returns (embeddings row-aligned with mels, groups) where groups maps
     frame count -> (row indices, encoded index of each row, the worker
@@ -487,22 +492,26 @@ def _grouped_forward(params, mels, kept=None, stage_worker=None):
     A training pass with several groups sends the one with the most frames
     (rows x frames) to the worker process, when stage_worker (the getter
     `parallel.worker` yields) returns one, and encodes the others
-    meanwhile. The worker keeps that group's trace, and runs the same
-    forward_batch on the same stack, so no bit moves.
+    meanwhile. The worker keeps that group's trace and frames, and is sent
+    the ids of the stack's rows and only the frames it lacks (`held`). It
+    runs the same forward_batch on the same stack, so no bit moves.
     """
     by_len = {}
     for row, m in enumerate(mels):
         by_len.setdefault(m.frames.shape[0], []).append(row)
     plan, frames = {}, {}
     for n_frames, rows in by_len.items():
-        distinct = {}  # id of each distinct mel -> (its row in the stack, mel)
-        plan[n_frames] = (rows, [distinct.setdefault(id(mels[r]), (len(distinct), mels[r]))[0]
+        distinct = {}  # utterance_id of each distinct mel -> (its row in the stack, mel)
+        plan[n_frames] = (rows, [distinct.setdefault(ids[r], (len(distinct), mels[r]))[0]
                                  for r in rows])
         frames[n_frames] = [m.frames for _, m in distinct.values()]
     proc = stage_worker() if stage_worker and len(plan) > 1 else None
     far = max(plan, key=lambda n: n * len(frames[n])) if proc else None
     if proc:
-        remote = proc.submit(_worker_forward, params, far, frames.pop(far))
+        stack_ids = list(dict.fromkeys(ids[r] for r in by_len[far]))
+        sent = {i: f for i, f in zip(stack_ids, frames.pop(far)) if i not in proc.held}
+        proc.held = set(stack_ids)
+        remote = proc.submit(_worker_forward, params, far, stack_ids, sent)
     if kept is None:
         encoded = {n: forward_batch(params, np.stack(frames[n]), keep=False).embeddings
                    for n in sorted(frames)}
@@ -532,7 +541,7 @@ def _grouped_backward(params, groups, grad_out, kept):
               for n, (rows, index, proc) in groups.items() if proc}
     parts = {n: backward_batch(*kept[n], summed(rows, index))
              for n, (rows, index, proc) in groups.items() if not proc}
-    parts.update((n, future.result()) for n, future in remote.items())
+    parts.update((n, reply.result()) for n, reply in remote.items())
     total = zero_grads(params)
     for n_frames in sorted(parts):
         add_grads(total, parts[n_frames])
@@ -542,7 +551,7 @@ def _grouped_backward(params, groups, grad_out, kept):
 def embed_utterances(params, utterances, config: RunConfig, cache: dict):
     cache_features(utterances, cache, _features(config))
     mels = [mel_for(u, cache) for u in utterances]
-    embeddings, _ = _grouped_forward(params, mels)
+    embeddings, _ = _grouped_forward(params, [u.utterance_id for u in utterances], mels)
     return embeddings
 
 
@@ -577,13 +586,14 @@ def _train(params, batches, objective, lr, clip, config: RunConfig,
             cache_features(batch, cache, featurize)
             try:
                 embeddings, groups = _grouped_forward(
-                    params, [mel_for(u, cache) for u in batch], kept, stage_worker)
+                    params, [u.utterance_id for u in batch],
+                    [mel_for(u, cache) for u in batch], kept, stage_worker)
                 loss, grad_out = objective(embeddings)
                 grads = _grouped_backward(params, groups, grad_out, kept)
                 params = sgd_step(params, grads, lr, clip)
             except NumericError as exc:
                 raise NumericError(f"{stage} diverged at iteration {iteration}: {exc}") from exc
-            except BrokenExecutor as exc:
+            except ChildProcessError as exc:
                 raise DsrkitError(f"{stage}: worker process died at iteration {iteration}") from exc
             lines.append(f"{iteration},{repr(float(loss))}")
     out = Path(out_dir)

@@ -10,7 +10,11 @@ its worker, has ended.
 """
 
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +83,26 @@ def worker_forward_fails(monkeypatch):
 
         monkeypatch.setattr(dsrkit.encoder, "forward_batch", failing)
     return install
+
+
+@pytest.fixture
+def python_c(tmp_path):
+    """A function running `python -c code`, with this checkout's dsrkit,
+    in a process group of its own, and returning its (returncode, stdout,
+    stderr). Output goes to files, so a child process it leaves holds no
+    pipe open; if the group outlives timeout seconds it is killed and
+    subprocess.TimeoutExpired raised."""
+    def run(code, timeout):
+        out, err = tmp_path / "stdout", tmp_path / "stderr"
+        env = {**os.environ, "PYTHONPATH": str(Path(dsrkit.encoder.__file__).parents[1])}
+        with open(out, "w", encoding="utf-8") as o, open(err, "w", encoding="utf-8") as e:
+            proc = subprocess.Popen([sys.executable, "-c", code], stdout=o, stderr=e,
+                                    env=env, start_new_session=True)
+        try:
+            proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+        return proc.returncode, out.read_text(encoding="utf-8"), err.read_text(encoding="utf-8")
+    return run

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import dsrkit
+import dsrkit.parallel
 from dsrkit.parallel import pmap
 
 SRC = Path(dsrkit.__file__).parents[1]
@@ -38,6 +38,21 @@ def test_first_failing_item_raises():
         pmap(fail, range(8))
     # Every other item has finished by the time the error comes out.
     assert sorted(done) == [0, 1, 2, 4, 6, 7]
+
+
+def test_one_request_in_flight(python_c):
+    # Each message is larger than a socket buffer: were the first reply
+    # still unread when the second request is sent, each process would
+    # wait for the other to read.
+    if dsrkit.parallel._CPUS < 2:
+        pytest.skip("a process that may run on one CPU has no worker process")
+    code = ("from dsrkit.parallel import worker\n"
+            "with worker() as get:\n"
+            "    link = get()\n"
+            "    first = link.submit(bytes, b'a' * 2**22)\n"
+            "    second = link.submit(bytes, b'b' * 2**22)\n"
+            "    print(second.result() == b'b' * 2**22, first.result() == b'a' * 2**22)\n")
+    assert python_c(code, timeout=60) == (0, "True True\n", "")
 
 
 def test_import_starts_no_process():

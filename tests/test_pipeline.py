@@ -5,6 +5,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import multiprocessing
@@ -59,6 +60,7 @@ from dsrkit.pipeline import (
     ManifestRecord,
     _grouped_backward,
     _grouped_forward,
+    _worker_forward,
     RunConfig,
     embed_utterances,
     evaluate,
@@ -1091,7 +1093,7 @@ class TestGroupedEncoding:
                                             max_size=len(mels))))
         grad_out[dead] = 0.0
         kept = {}
-        embeddings, groups = _grouped_forward(params, mels, kept)
+        embeddings, groups = _grouped_forward(params, picks, mels, kept)
         grads = _grouped_backward(params, groups, grad_out, kept)
         expected = zero_grads(params)
         for row, (m, g) in enumerate(zip(mels, grad_out)):
@@ -1133,6 +1135,15 @@ def finetune_command(manifest, ckpt, out, iterations):
         "print(len(multiprocessing.active_children()))\n")
 
 
+def recording_worker_forward(log, params, n_frames, ids, sent):
+    """_worker_forward, in the worker process, writing the number of rows
+    and of frames its request carried to log; patched into dsrkit.pipeline
+    as a partial, which pickles by reference, before the stage forks."""
+    with open(log, "a", encoding="utf-8") as f:
+        f.write(f"{len(ids)} {len(sent)}\n")
+    return _worker_forward(params, n_frames, ids, sent)
+
+
 def python_env():
     return {**os.environ, "PYTHONPATH": str(Path(dsrkit.pipeline.__file__).parents[1])}
 
@@ -1155,25 +1166,26 @@ class TestWorkerProcess:
         needs_worker()
         params = init_params(TINY.encoder_config())
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        lengths = st.lists(st.sampled_from([48, 98, 198]), min_size=1, max_size=5)
-        # Two steps, the second lent the first's traces, as in training.
+        distinct = [MelFrames(rng.normal(size=(n, TINY.n_mels))) for n in data.draw(
+            st.lists(st.sampled_from([48, 98, 198]), min_size=1, max_size=8))]
+        # Two steps, the second lent the first's traces, as in training; they
+        # may share mels, which the worker then holds from the first.
         steps = []
         for _ in range(2):
-            distinct = [MelFrames(rng.normal(size=(n, TINY.n_mels)))
-                        for n in data.draw(lengths)]
-            mels = [distinct[p] for p in data.draw(
-                st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10))]
-            grad_out = rng.normal(size=(len(mels), TINY.embed_dim))
-            grad_out[data.draw(st.lists(st.booleans(), min_size=len(mels),
-                                        max_size=len(mels)))] = 0.0
-            steps.append((mels, grad_out))
+            picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                       min_size=1, max_size=10))
+            grad_out = rng.normal(size=(len(picks), TINY.embed_dim))
+            grad_out[data.draw(st.lists(st.booleans(), min_size=len(picks),
+                                        max_size=len(picks)))] = 0.0
+            steps.append((picks, grad_out))
         results = {}
         for side in ("worker", "here"):
             kept, results[side] = {}, []
             with dsrkit.parallel.worker() as stage_worker:
-                for mels, grad_out in steps:
+                for picks, grad_out in steps:
                     embeddings, groups = _grouped_forward(
-                        params, mels, kept, stage_worker if side == "worker" else None)
+                        params, picks, [distinct[p] for p in picks], kept,
+                        stage_worker if side == "worker" else None)
                     remote = [proc is not None for _, _, proc in groups.values()]
                     assert sum(remote) == (side == "worker" and len(groups) > 1)
                     grads = _grouped_backward(params, groups, grad_out, kept)
@@ -1216,6 +1228,82 @@ class TestWorkerProcess:
         assert finetune("again") == 0
         assert ((tmp_path / "again" / "finetuned.ckpt").read_bytes()
                 == (tmp_path / "clean" / "finetuned.ckpt").read_bytes())
+
+    def test_finetune_starts_no_thread(self, pretrained, tmp_path, monkeypatch):
+        needs_worker()
+        manifest, ckpt = pretrained
+        # Every pool thread is started, so that none starts in the stage.
+        dsrkit.parallel.pmap(time.sleep, [0.05] * dsrkit.parallel._CPUS)
+        at_entry, in_steps = [], []
+        stage_scoped, triplet_loss = dsrkit.pipeline.worker, dsrkit.pipeline.triplet_loss
+
+        @contextlib.contextmanager
+        def counting_worker():
+            at_entry.append(threading.active_count())
+            with stage_scoped() as stage_worker:
+                yield stage_worker
+
+        def counting_loss(*args):
+            in_steps.append((threading.active_count(), len(multiprocessing.active_children())))
+            return triplet_loss(*args)
+
+        monkeypatch.setattr(dsrkit.pipeline, "worker", counting_worker)
+        monkeypatch.setattr(dsrkit.pipeline, "triplet_loss", counting_loss)
+        finetune_triplet(manifest, ckpt, TINY, tmp_path / "ft")
+        # Each objective runs after a forward pass in the worker process.
+        assert in_steps == [(at_entry[0], 1)] * TINY.triplet_iterations
+        assert threading.active_count() == at_entry[0]
+
+    def test_frames_cross_once_per_stage(self, pretrained, tiny_corpus, tmp_path,
+                                         monkeypatch):
+        """With every utterance in each batch, every step's worker group is
+        the same tempo copies: their frames are sent at the first step."""
+        needs_worker()
+        manifest, ckpt = pretrained
+        log = tmp_path / "requests.log"
+        log.touch()
+        monkeypatch.setattr(dsrkit.pipeline, "_worker_forward",
+                            functools.partial(recording_worker_forward, log))
+        config = RunConfig(**{**vars(TINY), "batch_size": len(tiny_corpus[1]),
+                              "triplet_iterations": 4})
+        finetune_triplet(manifest, ckpt, config, tmp_path / "ft")
+        (rows, sent), *later = [tuple(map(int, line.split()))
+                                for line in log.read_text(encoding="utf-8").splitlines()]
+        assert rows == sent > 0
+        assert later == [(rows, 0)] * 3
+
+    def test_stage_failing_with_a_reply_unread_ends_quietly(self, pretrained, tmp_path,
+                                                            python_c):
+        """The calling thread's backward pass fails while the worker's
+        gradients, larger than a socket buffer, are still unread: the stage
+        ends at once, the worker exits when the caller closes its end, and
+        prints nothing."""
+        needs_worker()
+        manifest, _ = pretrained
+        config = {**vars(TINY), "hidden_dim": 64}
+        code = (
+            "import multiprocessing, socket, time, dsrkit.pipeline\n"
+            "from dsrkit.encoder import init_params, save_checkpoint, zero_grads\n"
+            "from dsrkit.errors import NumericError\n"
+            "from dsrkit.pipeline import RunConfig, finetune_triplet\n"
+            f"config = RunConfig(**{config!r})\n"
+            "params = init_params(config.encoder_config())\n"
+            "buffer = socket.socket(socket.AF_UNIX).getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)\n"
+            "assert sum(g.nbytes for g in zero_grads(params).values()) > buffer\n"
+            f"save_checkpoint(params, {str(tmp_path / 'base.ckpt')!r})\n"
+            "def failing(*args):\n"
+            "    raise NumericError('injected')\n"
+            "dsrkit.pipeline.backward_batch = failing\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    finetune_triplet({str(manifest)!r}, {str(tmp_path / 'base.ckpt')!r}, "
+            f"config, {str(tmp_path / 'ft')!r})\n"
+            "except NumericError as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - start < 10, len(multiprocessing.active_children()))\n")
+        returncode, out, err = python_c(code, timeout=120)
+        assert (returncode, err) == (0, ""), err
+        assert out == "finetune diverged at iteration 0: injected\nTrue 0\n"
 
     def test_pretrain_and_evaluate_start_no_process(self, tiny_corpus, pretrained,
                                                     tmp_path, monkeypatch):
